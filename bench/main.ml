@@ -1260,20 +1260,19 @@ let servesweep () =
                   ] ))
             cells))
 
-(* Million-request serving cell: the memory-bounded streaming driver at
-   bench scale.  One Base-mode synth cell at the knee (load 1.0) runs a
-   million requests through [Serve.run_cell_stream]'s snapshot-segmented
-   measured pass: the calibration pass harvests kernel snapshots at
-   segment boundaries, worker domains re-execute the segments, and the
-   queue arithmetic consumes service times in index order — O(segments)
-   resident latency state (log-bucket recorder + order-sensitive
-   fingerprint; the raw vector is never materialized past lat_keep_cap).
-   The serving leaves are pure simulated-cycle quantities, bit-stable
-   across hosts and --jobs; sim_mips is the whole-cell wall-clock rate,
-   run once per bench invocation — at a million requests one run is long
-   enough to average runner noise without median-of-N. *)
+(* Million-request serving cell: the memory-bounded driver at bench
+   scale.  One Base-mode synth cell at the knee (load 1.0) runs a million
+   requests through [Serve.run_cell_stream]: a Base no-flush cell is its
+   own calibration, so one live pass buffers the 8 MB service vector and
+   the queue engine folds it — O(1) resident latency state (log-bucket
+   recorder + order-sensitive fingerprint; the raw vector is never
+   materialized past lat_keep_cap).  The serving leaves are pure
+   simulated-cycle quantities, bit-stable across hosts and --jobs;
+   sim_mips is the whole-cell wall-clock rate of that one pass, run once
+   per bench invocation — at a million requests one run is long enough
+   to average runner noise without median-of-N. *)
 let servesweep_1m () =
-  section "Million-request serving cell: streaming, snapshot-segmented replay";
+  section "Million-request serving cell: one live pass, streaming queue fold";
   let module Serve = Dlink_core.Serve in
   let name = "synth" in
   let wl = (Option.get (W.Registry.find name)) ?seed:None () in
@@ -1292,8 +1291,8 @@ let servesweep_1m () =
   let wall = Unix.gettimeofday () -. t0 in
   let mips = E.mips ~instructions:c.Serve.counters.C.instructions ~wall_s:wall in
   Printf.printf
-    "  %s, %d requests, load %s, %d segments, %d jobs: %.1f s wall\n" name n
-    (fmt cfg.Serve.load) c.Serve.segments jobs wall;
+    "  %s, %d requests, load %s, %d jobs: %.1f s wall\n" name n
+    (fmt cfg.Serve.load) jobs wall;
   Printf.printf
     "  served %d  dropped %d  goodput %.0f r/s  util %.3f  sim %.1f Mi/s\n"
     c.Serve.served c.Serve.dropped c.Serve.goodput_rps c.Serve.util mips;
@@ -1308,7 +1307,6 @@ let servesweep_1m () =
        [
          ("workload", Json.String name);
          ("requests", Json.Int n);
-         ("segments", Json.Int c.Serve.segments);
          ("jobs", Json.Int jobs);
          ("served", Json.Int c.Serve.served);
          ("dropped", Json.Int c.Serve.dropped);

@@ -1205,8 +1205,8 @@ let serve_cmd =
         exit 2
   in
   let action name mode_str load loads_str arrival_str queue_cap requests
-      flush_str flush_every seed sweep modes_str flushes_str jobs segment hist
-      json_path =
+      flush_str flush_every seed sweep modes_str flushes_str jobs hist json_path
+      =
     if queue_cap <= 0 then begin
       prerr_endline "dlinksim: --queue-cap must be positive";
       exit 2
@@ -1223,11 +1223,6 @@ let serve_cmd =
     (match jobs with
     | Some j when j <= 0 ->
         prerr_endline "dlinksim: --jobs must be positive";
-        exit 2
-    | _ -> ());
-    (match segment with
-    | Some k when k <= 0 ->
-        prerr_endline "dlinksim: --segment must be positive";
         exit 2
     | _ -> ());
     let arrival = parse_arrival arrival_str in
@@ -1264,26 +1259,19 @@ let serve_cmd =
         in
         (* Million-request cells never materialize a packed trace (its
            event stream would dwarf the cell itself): beyond the trace
-           cap the streaming generate driver runs the cell with
-           snapshot-segmented domain parallelism and O(segments)
-           memory. *)
-        if requests > trace_cell_cap then
-          [ Serve.run_cell_stream ?jobs ?segment ~cfg w ]
-        else [ Dlink_trace.Serve_replay.run_cell ?jobs ?segment ~cfg w ]
+           cap the live executor runs the cell, buffering only its
+           8 B-per-request service vector. *)
+        if requests > trace_cell_cap then [ Serve.run_cell_stream ?jobs ~cfg w ]
+        else [ Dlink_trace.Serve_replay.run_cell ?jobs ~cfg w ]
     in
     let mean_service =
       match cells with
       | c :: _ -> c.Serve.mean_service_cycles
       | [] -> 0
     in
-    let segments =
-      match cells with
-      | [ c ] when not sweep -> Printf.sprintf " segments=%d" c.Serve.segments
-      | _ -> ""
-    in
     Printf.printf
-      "workload=%s requests=%d queue_cap=%d seed=%d mean_service=%d cycles%s\n"
-      name requests queue_cap cell_seed mean_service segments;
+      "workload=%s requests=%d queue_cap=%d seed=%d mean_service=%d cycles\n"
+      name requests queue_cap cell_seed mean_service;
     let t =
       Table.create
         ~headers:
@@ -1413,19 +1401,10 @@ let serve_cmd =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Domains for $(b,--sweep) (cell-level) or for a single cell's \
-             snapshot-segmented measured pass; results are bit-identical \
-             regardless of N.")
-  in
-  let segment_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "segment" ] ~docv:"K"
-          ~doc:
-            "Snapshot the kernel every K requests of a single cell's \
-             measured pass (default: spread over 4*jobs segments); the \
-             segments replay concurrently on $(b,--jobs) domains.")
+            "Domains for the execution passes: a single cell's calibration \
+             and measured passes, or a $(b,--sweep)'s one pass per (mode, \
+             flush) pair; every load is then folded over its pass's \
+             service times.  Results are bit-identical regardless of N.")
   in
   let hist_arg =
     Arg.(
@@ -1447,7 +1426,7 @@ let serve_cmd =
       const action $ workload_arg $ mode_arg $ load_arg $ loads_arg
       $ arrival_arg $ queue_cap_arg $ requests_arg $ flush_arg
       $ flush_every_arg $ seed_arg $ sweep_arg $ modes_arg $ flushes_arg
-      $ jobs_arg $ segment_arg $ hist_arg $ json_arg)
+      $ jobs_arg $ hist_arg $ json_arg)
 
 let list_cmd =
   let action () =

@@ -24,17 +24,20 @@ module Kernel = Dlink_pipeline.Kernel
    stream index), yielding a per-request service-time vector, and the
    bounded queue is pure arithmetic over that vector plus the arrival
    times.  Admission drops therefore affect queueing only, never machine
-   state — which is what makes the generate driver here
-   ([run_cell_generate], over {!Sim}) and the packed-trace replay driver
-   ({!Dlink_trace.Serve_replay}) bit-identical: the service vector
-   reduces to the kernel equivalence the pipeline matrix already proves,
-   and the queueing arithmetic is shared. *)
+   state — which is what makes the live executor here (over {!Sim}) and
+   the trace-cursor executor ({!Dlink_trace.Serve_replay}) bit-identical:
+   the service vector reduces to the kernel equivalence the pipeline
+   matrix already proves.  Service times do not depend on the load
+   either, so every driver executes each (mode, flush) pair once,
+   buffers its service vector, and folds every load over it ([run_grid]
+   below). *)
 
 (* ------------------------------------------------------------------ *)
 (* Flush policy: what happens to the server's microarchitectural state
-   every [flush_every] served requests — nothing, a full flush (untagged
-   hardware), or an ASID-retaining switch (tagged hardware).  Models a
-   co-scheduled tenant touching the core between bursts of our requests. *)
+   every [flush_every] requests of the stream — nothing, a full flush
+   (untagged hardware), or an ASID-retaining switch (tagged hardware).
+   Models a co-scheduled tenant touching the core between bursts of our
+   requests. *)
 
 type flush = No_flush | Flush | Asid
 
@@ -82,266 +85,23 @@ let check_config cfg =
   if cfg.flush_every <= 0 then invalid_arg "Serve: flush_every must be positive"
 
 (* ------------------------------------------------------------------ *)
-(* The queue engine.  Admission is lazy, as in [Multi.quantum_open]: all
+(* The queue engine: a single-server bounded FIFO fed one service time at
+   a time, in request-index order, that folds each served request into a
+   caller-provided sink instead of per-request arrays — O(1) queue memory
+   at any cell size.  Admission is lazy, as in [Multi.quantum_open]: all
    arrivals up to the current virtual time are admitted (or dropped at a
    full queue) immediately before each service starts, which reproduces
    exactly the occupancy a real-time interleaving would have seen because
-   the queue only drains at those same instants. *)
-
-type queue_stats = {
-  q_served : int;
-  q_dropped : int;
-  q_reqs : int array;  (** request index per served request, serve order *)
-  q_lat_cycles : int array;  (** queue wait + service, serve order *)
-  q_wait_cycles : int array;
-  q_busy : int;
-  q_span : int;  (** completion time of the last served request *)
-}
-
-let simulate_queue ~arrivals ~queue_cap ~service =
-  if queue_cap <= 0 then
-    invalid_arg "Serve.simulate_queue: queue_cap must be positive";
-  let n = Array.length arrivals in
-  let q = Queue.create () in
-  let reqs = ref [] and lats = ref [] and waits = ref [] in
-  let now = ref 0 and busy = ref 0 in
-  let served = ref 0 and dropped = ref 0 and next = ref 0 in
-  let admit () =
-    while !next < n && arrivals.(!next) <= !now do
-      if Queue.length q < queue_cap then Queue.add !next q else incr dropped;
-      incr next
-    done
-  in
-  while !served + !dropped < n do
-    admit ();
-    if Queue.is_empty q then begin
-      (* Idle until the earliest un-admitted arrival. *)
-      if arrivals.(!next) > !now then now := arrivals.(!next);
-      admit ()
-    end;
-    let r = Queue.pop q in
-    let start = !now in
-    let s = service ~nth:!served ~req:r in
-    if s < 0 then invalid_arg "Serve.simulate_queue: negative service time";
-    busy := !busy + s;
-    now := !now + s;
-    reqs := r :: !reqs;
-    lats := (!now - arrivals.(r)) :: !lats;
-    waits := (start - arrivals.(r)) :: !waits;
-    incr served
-  done;
-  {
-    q_served = !served;
-    q_dropped = !dropped;
-    q_reqs = Array.of_list (List.rev !reqs);
-    q_lat_cycles = Array.of_list (List.rev !lats);
-    q_wait_cycles = Array.of_list (List.rev !waits);
-    q_busy = !busy;
-    q_span = !now;
-  }
-
-(* ------------------------------------------------------------------ *)
-
-type rtype_stats = {
-  rt_name : string;
-  rt_served : int;
-  rt_mean_us : float;
-  rt_p99_us : float;
-}
-
-type cell = {
-  cfg : config;
-  workload_name : string;
-  mean_service_cycles : int;  (** base-mode calibration behind [load] *)
-  served : int;
-  dropped : int;
-  lat_cycles : int array;  (** per served request, serve order *)
-  recorder : Latency.t;  (** the same latencies in scaled microseconds *)
-  offered_rps : float;
-  goodput_rps : float;
-  util : float;
-  span_us : float;
-  mean_us : float;
-  p50_us : float;
-  p99_us : float;
-  p999_us : float;
-  mean_wait_us : float;
-  by_rtype : rtype_stats array;
-  lat_fingerprint : int;
-      (** order-sensitive digest of (req, lat, wait) in serve order *)
-  segments : int;  (** replay segments the measured pass ran as (1 = whole) *)
-  counters : Counters.t;
-}
-
-(* Order-sensitive digest of the served-request stream: folding (request
-   index, latency, wait) in serve order means two drivers agree iff every
-   per-request outcome matches exactly — the O(1)-memory bit-identity
-   witness the segmented-replay tests pin, usable even when the
-   per-request latency vector itself is not materialized. *)
-let fp_fold acc ~req ~lat ~wait =
-  Site_hash.mix2 acc (Site_hash.mix2 (Site_hash.mix2 req lat) wait)
-
-let rtype_stats_of (w : Workload.t) buckets =
-  Array.mapi
-    (fun rt name ->
-      {
-        rt_name = name;
-        rt_served = Latency.count buckets.(rt);
-        rt_mean_us = Latency.mean buckets.(rt);
-        rt_p99_us = Latency.p99 buckets.(rt);
-      })
-    w.Workload.request_type_names
-
-(* Shared cell assembly: everything below the raw per-request accounting
-   is identical between the array-based ([finish_cell]) and streaming
-   ([finish_stream_cell]) drivers. *)
-let assemble_cell ~cfg ~(w : Workload.t) ~mean_service ~served ~dropped
-    ~lat_cycles ~recorder ~by_rtype ~wait_cycles ~busy ~span ~lat_fingerprint
-    ~segments ~counters =
-  let span_us = Workload.cycles_to_us w span in
-  let span_s = span_us *. 1e-6 in
-  let mean_gap = float_of_int mean_service /. cfg.load in
-  let gap_s = Workload.cycles_to_us w (int_of_float mean_gap) *. 1e-6 in
-  let mean_wait_us =
-    if served = 0 then Float.nan
-    else Workload.cycles_to_us w wait_cycles /. float_of_int served
-  in
-  {
-    cfg;
-    workload_name = w.Workload.wname;
-    mean_service_cycles = mean_service;
-    served;
-    dropped;
-    lat_cycles;
-    recorder;
-    offered_rps = (if gap_s > 0.0 then 1.0 /. gap_s else Float.nan);
-    goodput_rps = (if span_s > 0.0 then float_of_int served /. span_s else 0.0);
-    util = (if span > 0 then float_of_int busy /. float_of_int span else 0.0);
-    span_us;
-    mean_us = Latency.mean recorder;
-    p50_us = Latency.p50 recorder;
-    p99_us = Latency.p99 recorder;
-    p999_us = Latency.p999 recorder;
-    mean_wait_us;
-    by_rtype;
-    lat_fingerprint;
-    segments;
-    counters;
-  }
-
-let finish_cell ~cfg ~(w : Workload.t) ~mean_service ~segments
-    ~(qs : queue_stats) ~counters =
-  let recorder = Latency.create () in
-  Array.iter
-    (fun lc -> Latency.record recorder (Workload.cycles_to_us w lc))
-    qs.q_lat_cycles;
-  let by_rtype =
-    let n_rt = Array.length w.Workload.request_type_names in
-    let buckets = Array.init n_rt (fun _ -> Latency.create ()) in
-    Array.iteri
-      (fun i r ->
-        let rt = (w.Workload.gen_request r).Workload.rtype in
-        Latency.record buckets.(rt) (Workload.cycles_to_us w qs.q_lat_cycles.(i)))
-      qs.q_reqs;
-    rtype_stats_of w buckets
-  in
-  let fp = ref 0 in
-  for i = 0 to qs.q_served - 1 do
-    fp :=
-      fp_fold !fp ~req:qs.q_reqs.(i) ~lat:qs.q_lat_cycles.(i)
-        ~wait:qs.q_wait_cycles.(i)
-  done;
-  assemble_cell ~cfg ~w ~mean_service ~served:qs.q_served ~dropped:qs.q_dropped
-    ~lat_cycles:qs.q_lat_cycles ~recorder ~by_rtype
-    ~wait_cycles:(Array.fold_left ( + ) 0 qs.q_wait_cycles)
-    ~busy:qs.q_busy ~span:qs.q_span ~lat_fingerprint:!fp ~segments ~counters
-
-(* ------------------------------------------------------------------ *)
-(* Base-mode capacity calibration: the mean service time (cycles per
-   request, closed loop) every load level is expressed against.  Always
-   measured in [Base] so "load 1.0" means the same client behavior for
-   every mode under comparison — the enhanced modes then run the same
-   arrival sequence with shorter service times, which is precisely the
-   capacity head-room being measured. *)
-
-let calibrate_generate ?ucfg ?skip_cfg ?requests ?warmup (w : Workload.t) =
-  let n = Option.value requests ~default:w.Workload.default_requests in
-  let r = Experiment.run ?ucfg ?skip_cfg ~requests:n ?warmup ~mode:Sim.Base w in
-  max 1 (r.Experiment.counters.Counters.cycles / max 1 n)
-
-(* The shared serving loop body: arrivals from the seed, service times
-   from the driver's precomputed vector.  Keeping the queue a pure
-   function of (arrivals, services) is what decouples admission drops
-   from machine state — see the header comment. *)
-let run_queue ~cfg ~mean_service ~services =
-  if Array.length services <> cfg.requests then
-    invalid_arg "Serve.run_queue: services length <> requests";
-  let arrivals =
-    Arrival.times ~seed:cfg.seed
-      ~mean_gap:(float_of_int mean_service /. cfg.load)
-      ~n:cfg.requests cfg.arrival
-  in
-  simulate_queue ~arrivals ~queue_cap:cfg.queue_cap
-    ~service:(fun ~nth:_ ~req -> services.(req))
-
-(* Generate-mode cell driver: live interpreter over [Sim].  The replay
-   mirror lives in {!Dlink_trace.Serve_replay}; both must produce
-   bit-identical [lat_cycles] for replay-compatible configurations. *)
-let run_cell_generate ?ucfg ?skip_cfg ?mean_service ~cfg (w : Workload.t) =
-  check_config cfg;
-  let mean_service =
-    match mean_service with
-    | Some m -> m
-    | None -> calibrate_generate ?ucfg ?skip_cfg ~requests:cfg.requests w
-  in
-  let sim =
-    Sim.create ?ucfg ?skip_cfg ~func_align:w.Workload.func_align ~mode:cfg.mode
-      w.Workload.objs
-  in
-  let kernel = Sim.kernel sim in
-  let call (rq : Workload.request) =
-    Kernel.note_boundary kernel ~rtype:rq.Workload.rtype;
-    Sim.call sim ~mname:rq.Workload.mname ~fname:rq.Workload.fname
-  in
-  for i = 0 to w.Workload.warmup_requests - 1 do
-    call (w.Workload.gen_request (-1 - i))
-  done;
-  Sim.mark_measurement_start sim;
-  let counters = Sim.counters sim in
-  let services = Array.make cfg.requests 0 in
-  for i = 0 to cfg.requests - 1 do
-    (match cfg.flush with
-    | No_flush -> ()
-    | Flush when i > 0 && i mod cfg.flush_every = 0 -> Sim.context_switch sim
-    | Asid when i > 0 && i mod cfg.flush_every = 0 ->
-        Sim.context_switch ~retain_asid:true sim
-    | Flush | Asid -> ());
-    let before = counters.Counters.cycles in
-    call (w.Workload.gen_request i);
-    services.(i) <- counters.Counters.cycles - before
-  done;
-  let qs = run_queue ~cfg ~mean_service ~services in
-  finish_cell ~cfg ~w ~mean_service ~segments:1 ~qs
-    ~counters:(Sim.measured_counters sim)
-
-(* ------------------------------------------------------------------ *)
-(* Streaming queue engine: the same bounded-FIFO semantics as
-   [simulate_queue], re-expressed as a push API — the driver feeds service
-   times one request at a time, in request-index order, and the engine
-   folds each served request into a caller-provided sink instead of
-   materializing per-request arrays, so million-request cells run in
-   O(1) queue memory.
+   the queue only drains at those same instants.
 
    Why pushing index [k] can resolve [k]'s fate immediately: arrivals are
    sorted and the queue is FIFO, so among admitted requests serve order
    equals index order.  At [stream_push k], every index < k has been
    served or dropped, hence [k] is either at the head of the queue
-   (serve), not yet arrived with an idle server (jump to its arrival and
-   admit, exactly [simulate_queue]'s idle rule), or was dropped at a full
-   queue by an earlier admission scan.  Admission scans happen at the
-   same virtual times with the same queue occupancy as in
-   [simulate_queue], so (now, queue, drops) evolve identically —
-   [test_serve] pins the equivalence over random cells.
+   (serve), not yet arrived with an idle server (idle until its arrival
+   and admit), or was dropped at a full queue by an earlier admission
+   scan.  [test_serve] pins the engine against a naive array model of the
+   same queue over random cells.
 
    The engine also hosts the closed-loop client population
    ([Arrival.Closed]): [clients] users each wait for their request's
@@ -363,9 +123,9 @@ let run_cell_generate ?ucfg ?skip_cfg ?mean_service ~cfg (w : Workload.t) =
 type stream_sink = req:int -> lat:int -> wait:int -> unit
 
 type stream_open = {
-  so_gen : Arrival.gen;
+  so_arrival : unit -> int;  (* the next arrival time, in index order *)
   so_q : (int * int) Queue.t;  (* (index, arrival) admitted, FIFO *)
-  mutable so_next : int;  (* next index not yet pulled from the generator *)
+  mutable so_next : int;  (* next index not yet pulled from [so_arrival] *)
   mutable so_next_arr : int;  (* its arrival time; valid while so_next < n *)
 }
 
@@ -427,6 +187,25 @@ type stream_queue = {
   mutable sq_dropped : int;
 }
 
+let make_queue ~queue_cap ~requests ~sink src =
+  {
+    sq_cap = queue_cap;
+    sq_n = requests;
+    sq_sink = sink;
+    sq_src = src;
+    sq_now = 0;
+    sq_busy = 0;
+    sq_served = 0;
+    sq_dropped = 0;
+  }
+
+let open_source ~requests next =
+  let o =
+    { so_arrival = next; so_q = Queue.create (); so_next = 0; so_next_arr = 0 }
+  in
+  if requests > 0 then o.so_next_arr <- next ();
+  Src_open o
+
 let stream_queue ~cfg ~mean_service ~sink =
   check_config cfg;
   if mean_service <= 0 then
@@ -458,22 +237,25 @@ let stream_queue ~cfg ~mean_service ~sink =
             ~mean_gap:(float_of_int mean_service /. cfg.load)
             p
         in
-        let o =
-          { so_gen = gen; so_q = Queue.create (); so_next = 0; so_next_arr = 0 }
-        in
-        if cfg.requests > 0 then o.so_next_arr <- Arrival.next gen;
-        Src_open o
+        open_source ~requests:cfg.requests (fun () -> Arrival.next gen)
   in
-  {
-    sq_cap = cfg.queue_cap;
-    sq_n = cfg.requests;
-    sq_sink = sink;
-    sq_src = src;
-    sq_now = 0;
-    sq_busy = 0;
-    sq_served = 0;
-    sq_dropped = 0;
-  }
+  make_queue ~queue_cap:cfg.queue_cap ~requests:cfg.requests ~sink src
+
+let stream_queue_at ~arrivals ~queue_cap ~sink =
+  if queue_cap <= 0 then
+    invalid_arg "Serve.stream_queue_at: queue_cap must be positive";
+  Array.iteri
+    (fun i a ->
+      if a < 0 || (i > 0 && a < arrivals.(i - 1)) then
+        invalid_arg "Serve.stream_queue_at: arrivals must be sorted, >= 0")
+    arrivals;
+  let requests = Array.length arrivals in
+  let next = ref 0 in
+  make_queue ~queue_cap ~requests ~sink
+    (open_source ~requests (fun () ->
+         let a = arrivals.(!next) in
+         incr next;
+         a))
 
 let stream_push t ~req:k ~service:s =
   if s < 0 then invalid_arg "Serve.stream_push: negative service time";
@@ -485,7 +267,7 @@ let stream_push t ~req:k ~service:s =
             Queue.add (o.so_next, o.so_next_arr) o.so_q
           else t.sq_dropped <- t.sq_dropped + 1;
           o.so_next <- o.so_next + 1;
-          if o.so_next < t.sq_n then o.so_next_arr <- Arrival.next o.so_gen
+          if o.so_next < t.sq_n then o.so_next_arr <- o.so_arrival ()
         done
       in
       admit ();
@@ -522,12 +304,66 @@ let stream_dropped t = t.sq_dropped
 let stream_busy_cycles t = t.sq_busy
 let stream_span_cycles t = t.sq_now
 
+(* The array form of the engine: a whole service vector pushed in index
+   order. *)
+let push_all sq services =
+  Array.iteri (fun req service -> stream_push sq ~req ~service) services
+
+let run_queue ~cfg ~mean_service ~services =
+  if Array.length services <> cfg.requests then
+    invalid_arg "Serve.run_queue: services length <> requests";
+  let sq =
+    stream_queue ~cfg ~mean_service ~sink:(fun ~req:_ ~lat:_ ~wait:_ -> ())
+  in
+  push_all sq services;
+  sq
+
 (* ------------------------------------------------------------------ *)
-(* Streaming cell accounting: constant-memory per-request accumulation
-   (log-bucket recorder, per-rtype buckets, wait sum, order-sensitive
-   fingerprint).  The raw latency vector is kept only for cells small
-   enough that keeping it is free — large cells report through the
-   recorder and fingerprint alone. *)
+
+type rtype_stats = {
+  rt_name : string;
+  rt_served : int;
+  rt_mean_us : float;
+  rt_p99_us : float;
+}
+
+type cell = {
+  cfg : config;
+  workload_name : string;
+  mean_service_cycles : int;  (** base-mode calibration behind [load] *)
+  served : int;
+  dropped : int;
+  lat_cycles : int array;  (** per served request, serve order *)
+  recorder : Latency.t;  (** the same latencies in scaled microseconds *)
+  offered_rps : float;
+  goodput_rps : float;
+  util : float;
+  span_us : float;
+  mean_us : float;
+  p50_us : float;
+  p99_us : float;
+  p999_us : float;
+  mean_wait_us : float;
+  by_rtype : rtype_stats array;
+  lat_fingerprint : int;
+      (** order-sensitive digest of (req, lat, wait) in serve order *)
+  counters : Counters.t;
+}
+
+(* Order-sensitive digest of the served-request stream: folding (request
+   index, latency, wait) in serve order means two drivers agree iff every
+   per-request outcome matches exactly — the O(1)-memory bit-identity
+   witness for cells whose per-request latency vector is not
+   materialized. *)
+let fp_fold acc ~req ~lat ~wait =
+  Site_hash.mix2 acc (Site_hash.mix2 (Site_hash.mix2 req lat) wait)
+
+(* ------------------------------------------------------------------ *)
+(* Cell accounting: constant-memory per-request accumulation (log-bucket
+   recorder, per-rtype buckets, wait sum, order-sensitive fingerprint).
+   The raw latency vector is kept only for cells small enough that
+   keeping it is free — large cells report through the recorder and
+   fingerprint alone. *)
 
 let lat_keep_cap = 100_000
 
@@ -563,148 +399,185 @@ let accum_sink a ~req ~lat ~wait =
     a.sa_kept <- a.sa_kept + 1
   end
 
-let finish_stream_cell ~cfg ~mean_service ~segments ~(sq : stream_queue)
-    ~(a : stream_accum) ~counters =
-  assemble_cell ~cfg ~w:a.sa_w ~mean_service ~served:sq.sq_served
-    ~dropped:sq.sq_dropped
-    ~lat_cycles:
+(* Assemble a cell from a fully-pushed engine and its accumulator. *)
+let finish_cell ~cfg ~mean_service ~sq ~a ~counters =
+  let w = a.sa_w in
+  let served = sq.sq_served and span = sq.sq_now in
+  let span_us = Workload.cycles_to_us w span in
+  let span_s = span_us *. 1e-6 in
+  let mean_gap = float_of_int mean_service /. cfg.load in
+  let gap_s = Workload.cycles_to_us w (int_of_float mean_gap) *. 1e-6 in
+  let recorder = a.sa_recorder in
+  {
+    cfg;
+    workload_name = w.Workload.wname;
+    mean_service_cycles = mean_service;
+    served;
+    dropped = sq.sq_dropped;
+    lat_cycles =
       (if Array.length a.sa_keep > 0 then Array.sub a.sa_keep 0 a.sa_kept
-       else [||])
-    ~recorder:a.sa_recorder
-    ~by_rtype:(rtype_stats_of a.sa_w a.sa_rt)
-    ~wait_cycles:a.sa_wait_cycles ~busy:sq.sq_busy ~span:sq.sq_now
-    ~lat_fingerprint:a.sa_fp ~segments ~counters
+       else [||]);
+    recorder;
+    offered_rps = (if gap_s > 0.0 then 1.0 /. gap_s else Float.nan);
+    goodput_rps = (if span_s > 0.0 then float_of_int served /. span_s else 0.0);
+    util =
+      (if span > 0 then float_of_int sq.sq_busy /. float_of_int span else 0.0);
+    span_us;
+    mean_us = Latency.mean recorder;
+    p50_us = Latency.p50 recorder;
+    p99_us = Latency.p99 recorder;
+    p999_us = Latency.p999 recorder;
+    mean_wait_us =
+      (if served = 0 then Float.nan
+       else Workload.cycles_to_us w a.sa_wait_cycles /. float_of_int served);
+    by_rtype =
+      Array.mapi
+        (fun rt name ->
+          {
+            rt_name = name;
+            rt_served = Latency.count a.sa_rt.(rt);
+            rt_mean_us = Latency.mean a.sa_rt.(rt);
+            rt_p99_us = Latency.p99 a.sa_rt.(rt);
+          })
+        w.Workload.request_type_names;
+    lat_fingerprint = a.sa_fp;
+    counters;
+  }
+
+(* The fold: one cell from its pass's service vector.  Cells of one pass
+   get their own copy of its counters. *)
+let fold_cell (w : Workload.t) ~mean_service ~services ~counters cfg =
+  let a = stream_accum w ~requests:cfg.requests in
+  let sq = stream_queue ~cfg ~mean_service ~sink:(accum_sink a) in
+  push_all sq services;
+  finish_cell ~cfg ~mean_service ~sq ~a ~counters:(Counters.copy counters)
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot-segmented generate driver.
+(* Base-mode capacity calibration: the mean service time (cycles per
+   request, closed loop) every load level is expressed against.  Always
+   measured in [Base] so "load 1.0" means the same client behavior for
+   every mode under comparison — the enhanced modes then run the same
+   arrival sequence with shorter service times, which is precisely the
+   capacity head-room being measured. *)
 
-   The measured pass of a serving cell is inherently sequential — request
-   i+1's service time depends on the microarchitectural state request i
-   left behind — and the arrival times need the base-mode mean service
-   time, which only a full calibration pass yields.  But for the
-   calibration configuration itself (Base mode, no flushes) the measured
-   stream IS the calibration stream: the calibration pass can harvest a
-   {!Sim.snapshot} at every segment boundary, and the measured pass
-   becomes a re-execution that replays the segments concurrently, each
-   worker restoring its boundary snapshot into a fresh simulator.
-   Per-request service times are bit-identical to the sequential pass by
-   construction (the snapshot captures everything that determines future
-   execution), and the queueing arithmetic consumes them strictly in
-   index order on the calling domain, so the whole cell is bit-identical
-   at any [jobs] — workers only buy wall-clock time.
+let calibrate_generate ?ucfg ?skip_cfg ?requests ?warmup (w : Workload.t) =
+  let n = Option.value requests ~default:w.Workload.default_requests in
+  let r = Experiment.run ?ucfg ?skip_cfg ~requests:n ?warmup ~mode:Sim.Base w in
+  max 1 (r.Experiment.counters.Counters.cycles / max 1 n)
 
-   For other modes and flush policies the mode pass is distinct from the
-   Base calibration pass, and parallelizing it would require a third,
-   mode-specific snapshot pass — strictly more work than streaming the
-   measured pass directly.  Those cells take the direct streaming path
-   below: same O(segments) memory, sequential wall-clock. *)
+(* ------------------------------------------------------------------ *)
+(* Executors: what runs the closed-loop request stream of one pass.  The
+   live one interprets on {!Sim}; {!Dlink_trace.Serve_replay} supplies
+   the trace-cursor one.  Both have run the warmup and started the
+   measurement window by the time they are returned. *)
 
-let run_cell_stream ?ucfg ?skip_cfg ?mean_service ?(jobs = 1) ?segment ~cfg
-    (w : Workload.t) =
-  check_config cfg;
-  (match segment with
-  | Some k when k <= 0 ->
-      invalid_arg "Serve.run_cell_stream: segment must be positive"
-  | _ -> ());
-  let n = cfg.requests in
-  let make_sim () =
-    Sim.create ?ucfg ?skip_cfg ~func_align:w.Workload.func_align ~mode:cfg.mode
+type executor = {
+  ex_counters : Counters.t;
+  ex_request : int -> unit;
+  ex_switch : retain_asid:bool -> unit;
+  ex_measured : unit -> Counters.t;
+}
+
+let live_executor ?ucfg ?skip_cfg ~mode (w : Workload.t) =
+  let sim =
+    Sim.create ?ucfg ?skip_cfg ~func_align:w.Workload.func_align ~mode
       w.Workload.objs
   in
-  let call sim kernel (rq : Workload.request) =
+  let kernel = Sim.kernel sim in
+  let call (rq : Workload.request) =
     Kernel.note_boundary kernel ~rtype:rq.Workload.rtype;
     Sim.call sim ~mname:rq.Workload.mname ~fname:rq.Workload.fname
   in
-  let warmup sim kernel =
-    for i = 0 to w.Workload.warmup_requests - 1 do
-      call sim kernel (w.Workload.gen_request (-1 - i))
-    done;
-    Sim.mark_measurement_start sim
+  for i = 0 to w.Workload.warmup_requests - 1 do
+    call (w.Workload.gen_request (-1 - i))
+  done;
+  Sim.mark_measurement_start sim;
+  {
+    ex_counters = Sim.counters sim;
+    ex_request = (fun i -> call (w.Workload.gen_request i));
+    ex_switch = (fun ~retain_asid -> Sim.context_switch ~retain_asid sim);
+    ex_measured = (fun () -> Sim.measured_counters sim);
+  }
+
+(* One measured pass: every request of the stream in order, the flush
+   policy applied by stream index, each service time buffered (8 B per
+   request). *)
+let execute ~flush ~flush_every ~requests ex =
+  let services = Array.make requests 0 in
+  let c = ex.ex_counters in
+  for i = 0 to requests - 1 do
+    if flush <> No_flush && i > 0 && i mod flush_every = 0 then
+      ex.ex_switch ~retain_asid:(flush = Asid);
+    let before = c.Counters.cycles in
+    ex.ex_request i;
+    services.(i) <- c.Counters.cycles - before
+  done;
+  (services, ex.ex_measured ())
+
+(* Every serving driver ends here.  Execute once: one measured pass per
+   distinct (mode, flush) pair of the grid, plus the (Base, none)
+   calibration pass unless [mean_service] is given, on the domain pool.
+   Then fold: every cell pushes its pass's vector through the queue
+   engine at its own load.  The fold is exact because service times do
+   not depend on load and the flush cadence counts request indices, not
+   served requests; and the (Base, none) pass replicates
+   [calibrate_generate]'s request sequence, so its mean is the
+   calibration. *)
+let run_grid ?jobs ?mean_service ~executor ~cfg ~loads ~modes ~flushes
+    (w : Workload.t) =
+  List.iter (fun load -> check_config { cfg with load }) loads;
+  (match mean_service with
+  | Some m when m <= 0 ->
+      invalid_arg "Serve.run_grid: mean_service must be positive"
+  | _ -> ());
+  let cells =
+    List.concat_map
+      (fun mode ->
+        List.concat_map
+          (fun flush ->
+            List.map (fun load -> { cfg with mode; flush; load }) loads)
+          flushes)
+      modes
   in
-  let segmented =
-    cfg.mode = Sim.Base && cfg.flush = No_flush && mean_service = None && n > 0
+  let calibration = (Sim.Base, No_flush) in
+  let keys =
+    List.sort_uniq compare
+      ((if mean_service = None then [ calibration ] else [])
+      @ List.map (fun c -> (c.mode, c.flush)) cells)
   in
-  if segmented then begin
-    (* Pass A: the calibration pass, replicating [Experiment.run]'s exact
-       request sequence so the mean equals [calibrate_generate]'s,
-       harvesting a snapshot at each segment boundary.  Base / No_flush
-       means this is also the measured stream, so the measured counters
-       come from here and the snapshots are re-entry points into this
-       very execution. *)
-    let seg_len =
-      let cap_len = ((n - 1) / 256) + 1 in
-      (* at most 256 resident snapshots *)
-      match segment with
-      | Some k -> max k cap_len
-      | None ->
-          let target = max 4 (min 32 (4 * max 1 jobs)) in
-          max cap_len (((n - 1) / target) + 1)
-    in
-    let seg_count = ((n - 1) / seg_len) + 1 in
-    let sim = make_sim () in
-    let kernel = Sim.kernel sim in
-    warmup sim kernel;
-    let snaps = Array.make seg_count None in
-    for i = 0 to n - 1 do
-      if i mod seg_len = 0 then snaps.(i / seg_len) <- Some (Sim.snapshot sim);
-      call sim kernel (w.Workload.gen_request i)
-    done;
-    let counters = Sim.measured_counters sim in
-    let mean_service = max 1 (counters.Counters.cycles / max 1 n) in
-    let a = stream_accum w ~requests:n in
-    let sq = stream_queue ~cfg ~mean_service ~sink:(accum_sink a) in
-    (* Pass B: segmented re-execution.  Workers replay disjoint segments
-       from their boundary snapshots; the calling domain feeds the
-       service times into the queue engine strictly in index order. *)
-    Dpool.run_ordered ~jobs
-      ~produce:(fun j ->
-        let sim_j = make_sim () in
-        (match snaps.(j) with
-        | Some s -> Sim.restore sim_j s
-        | None -> assert false);
-        let kernel_j = Sim.kernel sim_j in
-        let cj = Sim.counters sim_j in
-        let lo = j * seg_len in
-        let hi = min n (lo + seg_len) in
-        let out = Array.make (hi - lo) 0 in
-        for i = lo to hi - 1 do
-          let before = cj.Counters.cycles in
-          call sim_j kernel_j (w.Workload.gen_request i);
-          out.(i - lo) <- cj.Counters.cycles - before
-        done;
-        out)
-      ~consume:(fun j out ->
-        let lo = j * seg_len in
-        Array.iteri (fun k s -> stream_push sq ~req:(lo + k) ~service:s) out)
-      seg_count;
-    finish_stream_cell ~cfg ~mean_service ~segments:seg_count ~sq ~a ~counters
-  end
-  else begin
-    let mean_service =
-      match mean_service with
-      | Some m -> m
-      | None -> calibrate_generate ?ucfg ?skip_cfg ~requests:n w
-    in
-    let sim = make_sim () in
-    let kernel = Sim.kernel sim in
-    warmup sim kernel;
-    let counters = Sim.counters sim in
-    let a = stream_accum w ~requests:n in
-    let sq = stream_queue ~cfg ~mean_service ~sink:(accum_sink a) in
-    for i = 0 to n - 1 do
-      (match cfg.flush with
-      | No_flush -> ()
-      | Flush when i > 0 && i mod cfg.flush_every = 0 -> Sim.context_switch sim
-      | Asid when i > 0 && i mod cfg.flush_every = 0 ->
-          Sim.context_switch ~retain_asid:true sim
-      | Flush | Asid -> ());
-      let before = counters.Counters.cycles in
-      call sim kernel (w.Workload.gen_request i);
-      stream_push sq ~req:i ~service:(counters.Counters.cycles - before)
-    done;
-    finish_stream_cell ~cfg ~mean_service ~segments:1 ~sq ~a
-      ~counters:(Sim.measured_counters sim)
-  end
+  (* [executor mode] runs here, on the calling domain, in key order; the
+     machines it returns thunks for are built and run on the pool. *)
+  let starts = List.map (fun (mode, flush) -> (flush, executor mode)) keys in
+  let passes =
+    List.combine keys
+      (Dpool.map ?jobs
+         (fun (flush, start) ->
+           execute ~flush ~flush_every:cfg.flush_every ~requests:cfg.requests
+             (start ()))
+         starts)
+  in
+  let mean_service =
+    match mean_service with
+    | Some m -> m
+    | None ->
+        let services, _ = List.assoc calibration passes in
+        max 1 (Array.fold_left ( + ) 0 services / max 1 cfg.requests)
+  in
+  Dpool.map ?jobs
+    (fun c ->
+      let services, counters = List.assoc (c.mode, c.flush) passes in
+      fold_cell w ~mean_service ~services ~counters c)
+    cells
+
+let run_cell_stream ?ucfg ?skip_cfg ?mean_service ?jobs ~cfg (w : Workload.t)
+    =
+  List.hd
+    (run_grid ?jobs ?mean_service
+       ~executor:(fun mode () -> live_executor ?ucfg ?skip_cfg ~mode w)
+       ~cfg ~loads:[ cfg.load ] ~modes:[ cfg.mode ] ~flushes:[ cfg.flush ] w)
+
+let run_cell_generate ?ucfg ?skip_cfg ?mean_service ~cfg w =
+  run_cell_stream ?ucfg ?skip_cfg ?mean_service ~cfg w
 
 (* ------------------------------------------------------------------ *)
 
@@ -720,7 +593,6 @@ let cell_json ?(hist = false) (c : cell) =
       ("queue_cap", Json.Int c.cfg.queue_cap);
       ("requests", Json.Int c.cfg.requests);
       ("seed", Json.Int c.cfg.seed);
-      ("segments", Json.Int c.segments);
       ("mean_service_cycles", Json.Int c.mean_service_cycles);
       ("served", Json.Int c.served);
       ("dropped", Json.Int c.dropped);

@@ -115,16 +115,16 @@ let buckets t =
   done;
   !out
 
-(* Merge for segmented serving: each replay segment records its own
-   service-time distribution, and the driver folds them in segment order.
-   Bucket counts, count, and sum add; extremes combine; the exact windows
-   concatenate in [into]-then-[src] order while the combined count fits
-   [into.small_cap], preserving the exact-quantile path.  Once the
-   combined count exceeds the window, quantiles come from the merged
-   buckets — identical to what one recorder fed the concatenated stream
-   would hold, since bucket assignment depends only on the sample value
-   and the (required-equal) geometry.  Quantile error therefore keeps the
-   single-recorder bound: one geometric bucket, 10^(1/bins_per_decade). *)
+(* Merge of two recorders fed consecutive parts of one stream, folded in
+   stream order.  Bucket counts, count, and sum add; extremes combine;
+   the exact windows concatenate in [into]-then-[src] order while the
+   combined count fits [into.small_cap], preserving the exact-quantile
+   path.  Once the combined count exceeds the window, quantiles come from
+   the merged buckets — identical to what one recorder fed the
+   concatenated stream would hold, since bucket assignment depends only
+   on the sample value and the (required-equal) geometry.  Quantile error
+   therefore keeps the single-recorder bound: one geometric bucket,
+   10^(1/bins_per_decade). *)
 let merge ~into src =
   if
     into.lo <> src.lo

@@ -3,16 +3,14 @@ module Serve = Dlink_core.Serve
 module Workload = Dlink_core.Workload
 module Counters = Dlink_uarch.Counters
 module Kernel = Dlink_pipeline.Kernel
-module Dpool = Dlink_util.Dpool
 
-(* Replay mirror of Dlink_core.Serve: the same open-loop queue engine fed
-   by packed-trace replay instead of live interpretation.  Service times
-   come from [Kernel.replay_request] against the cached trace, so a sweep
-   records each (workload, mode) stream once and replays it at every load
-   level — and because the queueing arithmetic is shared and the kernel is
-   bit-identical across event sources, per-request latencies match the
-   generate driver bit for bit (asserted by the pipeline equivalence
-   matrix). *)
+(* Replay mirror of Dlink_core.Serve: the same execute-once, fold-every-
+   load driver with service times from packed-trace replay instead of
+   live interpretation.  Service times come from [Kernel.replay_request]
+   against the cached trace, and because the fold is shared and the
+   kernel is bit-identical across event sources, per-request latencies
+   match the live driver bit for bit (asserted by the pipeline
+   equivalence matrix). *)
 
 let calibrate ?ucfg ?skip_cfg ?requests ?warmup (w : Workload.t) =
   let n = Option.value requests ~default:w.Workload.default_requests in
@@ -20,156 +18,50 @@ let calibrate ?ucfg ?skip_cfg ?requests ?warmup (w : Workload.t) =
   let c = Replay.replay_counters ?ucfg ?skip_cfg ~mode:Sim.Base ~requests:n tr in
   max 1 (c.Counters.cycles / max 1 n)
 
-(* One cell over a (pre-recorded) trace.  Falls back to the generate
-   driver for configurations the replay invariants exclude, like
-   [Replay.run].
-
-   Three replay shapes share the measured loop:
-   - default: materialized service vector + [Serve.run_queue], unchanged
-     from the classic path (small cells, open loop);
-   - streaming: the same sequential loop pushed through
-     [Serve.stream_queue] — required for closed-loop arrivals (coupled to
-     completions) and for cells too large to materialize;
-   - segmented ([jobs > 1] or an explicit [segment], [No_flush] only —
-     flush policy is keyed to the serve stream and would cross segment
-     boundaries): [Segmented.plan] harvests boundary snapshots in one
-     sequential pass, then [Segmented.replay] re-executes segments on
-     worker domains, streaming service times into the queue engine in
-     index order.  Bit-identical to the sequential paths at any [jobs]
-     (pinned by test_serve). *)
-let run_cell ?ucfg ?skip_cfg ?mean_service ?tr ?(jobs = 1) ?segment ~cfg
-    (w : Workload.t) =
-  Serve.check_config cfg;
-  let closed =
-    match cfg.Serve.arrival with
-    | Dlink_util.Arrival.Closed _ -> true
-    | _ -> false
+(* The trace-cursor executor: a replay machine that has replayed the
+   trace's warmup requests. *)
+let cursor_executor ?ucfg ?skip_cfg ~mode tr =
+  let m = Replay.make_machine ?ucfg ?skip_cfg ~mode () in
+  let c = Trace.Cursor.create tr in
+  let request r =
+    Kernel.note_boundary m ~rtype:(Trace.request_rtype tr r);
+    Kernel.replay_request m c r
   in
-  if not (Replay.compatible ?skip_cfg ~mode:cfg.Serve.mode ()) then
-    if closed || cfg.Serve.requests > Serve.lat_keep_cap then
-      Serve.run_cell_stream ?ucfg ?skip_cfg ?mean_service ~jobs ?segment ~cfg w
-    else Serve.run_cell_generate ?ucfg ?skip_cfg ?mean_service ~cfg w
-  else begin
-    let mean_service =
-      match mean_service with
-      | Some m -> m
-      | None -> calibrate ?ucfg ?skip_cfg ~requests:cfg.Serve.requests w
-    in
-    let tr =
-      match tr with
-      | Some tr -> tr
-      | None -> Cache.get ~requests:cfg.Serve.requests ~mode:cfg.Serve.mode w
-    in
-    let segmented =
-      (jobs > 1 || segment <> None)
-      && cfg.Serve.flush = Serve.No_flush
-      && cfg.Serve.requests > 0
-    in
-    if segmented then begin
-      let p =
-        Segmented.plan ?ucfg ?skip_cfg ~jobs ?segment
-          ~requests:cfg.Serve.requests ~mode:cfg.Serve.mode tr
-      in
-      let a = Serve.stream_accum w ~requests:cfg.Serve.requests in
-      let sq = Serve.stream_queue ~cfg ~mean_service ~sink:(Serve.accum_sink a) in
-      let counters, _service_rec =
-        Segmented.replay ?ucfg ?skip_cfg ~jobs
-          ~consume:(fun ~req ~service -> Serve.stream_push sq ~req ~service)
-          p tr
-      in
-      Serve.finish_stream_cell ~cfg ~mean_service
-        ~segments:(Segmented.seg_count p) ~sq ~a ~counters
-    end
-    else begin
-      let m = Replay.make_machine ?ucfg ?skip_cfg ~mode:cfg.Serve.mode () in
-      let c = Trace.Cursor.create tr in
-      let warmup = Trace.warmup tr in
-      for r = 0 to warmup - 1 do
-        Kernel.note_boundary m ~rtype:(Trace.request_rtype tr r);
-        Kernel.replay_request m c r
-      done;
-      let counters = Kernel.counters m in
-      let snapshot = Counters.copy counters in
-      let streaming = closed || cfg.Serve.requests > Serve.lat_keep_cap in
-      let services =
-        if streaming then [||] else Array.make cfg.Serve.requests 0
-      in
-      let a =
-        if streaming then Some (Serve.stream_accum w ~requests:cfg.Serve.requests)
-        else None
-      in
-      let sq =
-        match a with
-        | Some a -> Some (Serve.stream_queue ~cfg ~mean_service ~sink:(Serve.accum_sink a))
-        | None -> None
-      in
-      for i = 0 to cfg.Serve.requests - 1 do
-        (match cfg.Serve.flush with
-        | Serve.No_flush -> ()
-        | Serve.Flush when i > 0 && i mod cfg.Serve.flush_every = 0 ->
-            Kernel.context_switch m
-        | Serve.Asid when i > 0 && i mod cfg.Serve.flush_every = 0 ->
-            Kernel.context_switch ~retain_asid:true m
-        | Serve.Flush | Serve.Asid -> ());
-        let r = warmup + i in
-        Kernel.note_boundary m ~rtype:(Trace.request_rtype tr r);
-        let before = counters.Counters.cycles in
-        Kernel.replay_request m c r;
-        let s = counters.Counters.cycles - before in
-        match sq with
-        | Some sq -> Serve.stream_push sq ~req:i ~service:s
-        | None -> services.(i) <- s
-      done;
-      let measured = Counters.diff ~after:counters ~before:snapshot in
-      match (sq, a) with
-      | Some sq, Some a ->
-          Serve.finish_stream_cell ~cfg ~mean_service ~segments:1 ~sq ~a
-            ~counters:measured
-      | _ ->
-          let qs = Serve.run_queue ~cfg ~mean_service ~services in
-          Serve.finish_cell ~cfg ~w ~mean_service ~segments:1 ~qs
-            ~counters:measured
-    end
-  end
+  let warmup = Trace.warmup tr in
+  for r = 0 to warmup - 1 do
+    request r
+  done;
+  let counters = Kernel.counters m in
+  let start = Counters.copy counters in
+  {
+    Serve.ex_counters = counters;
+    ex_request = (fun i -> request (warmup + i));
+    ex_switch = (fun ~retain_asid -> Kernel.context_switch ~retain_asid m);
+    ex_measured = (fun () -> Counters.diff ~after:counters ~before:start);
+  }
 
-(* Load x mode x flush sweep on the shared-memory domain pool.  Traces
-   and the calibration are computed once, sequentially, before the pool
-   spins up — cells then only read immutable trace values, so the merge
-   is deterministic regardless of [jobs]. *)
+(* Each pass replays the cached trace of its mode, fetched on the calling
+   domain before the pool starts, so workers only read immutable traces.
+   Modes the replay invariants exclude fall back to live interpretation,
+   like [Replay.run]. *)
+let grid ?ucfg ?skip_cfg ?jobs ?mean_service ~cfg ~loads ~modes ~flushes
+    (w : Workload.t) =
+  let executor mode =
+    if Replay.compatible ?skip_cfg ~mode () then
+      let tr = Cache.get ~requests:cfg.Serve.requests ~mode w in
+      fun () -> cursor_executor ?ucfg ?skip_cfg ~mode tr
+    else fun () -> Serve.live_executor ?ucfg ?skip_cfg ~mode w
+  in
+  Serve.run_grid ?jobs ?mean_service ~executor ~cfg ~loads ~modes ~flushes w
+
+let run_cell ?ucfg ?skip_cfg ?mean_service ?jobs ~cfg (w : Workload.t) =
+  List.hd
+    (grid ?ucfg ?skip_cfg ?jobs ?mean_service ~cfg ~loads:[ cfg.Serve.load ]
+       ~modes:[ cfg.Serve.mode ] ~flushes:[ cfg.Serve.flush ] w)
+
 let sweep ?ucfg ?skip_cfg ?jobs ?(cfg = Serve.default_config) ~loads ~modes
     ~flushes (w : Workload.t) =
   if loads = [] then invalid_arg "Serve_replay.sweep: no loads";
   if modes = [] then invalid_arg "Serve_replay.sweep: no modes";
   if flushes = [] then invalid_arg "Serve_replay.sweep: no flushes";
-  List.iter
-    (fun load -> Serve.check_config { cfg with Serve.load })
-    loads;
-  let mean_service =
-    calibrate ?ucfg ?skip_cfg ~requests:cfg.Serve.requests w
-  in
-  let traces =
-    List.map
-      (fun mode ->
-        let tr =
-          if Replay.compatible ?skip_cfg ~mode () then
-            Some (Cache.get ~requests:cfg.Serve.requests ~mode w)
-          else None
-        in
-        (mode, tr))
-      (List.sort_uniq compare modes)
-  in
-  let combos =
-    List.concat_map
-      (fun mode ->
-        List.concat_map
-          (fun flush ->
-            List.map (fun load -> (mode, flush, load)) loads)
-          flushes)
-      modes
-  in
-  Dpool.map ?jobs
-    (fun (mode, flush, load) ->
-      let cfg = { cfg with Serve.mode; flush; load } in
-      let tr = Option.join (List.assoc_opt mode traces) in
-      run_cell ?ucfg ?skip_cfg ~mean_service ?tr ~cfg w)
-    combos
+  grid ?ucfg ?skip_cfg ?jobs ~cfg ~loads ~modes ~flushes w

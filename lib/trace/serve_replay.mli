@@ -1,7 +1,8 @@
 (** Replay mirror of {!Dlink_core.Serve}: open-loop serving cells whose
-    service times come from packed-trace replay.  Shares the queue engine
-    with the generate driver, so per-request latencies are bit-identical
-    between the two for replay-compatible configurations. *)
+    service times come from packed-trace replay.  The same
+    execute-once, fold-every-load driver ({!Serve.run_grid}) over a
+    trace-cursor executor, so per-request latencies are bit-identical to
+    the live driver for replay-compatible configurations. *)
 
 module Sim = Dlink_core.Sim
 module Serve = Dlink_core.Serve
@@ -21,20 +22,14 @@ val run_cell :
   ?ucfg:Dlink_uarch.Config.t ->
   ?skip_cfg:Dlink_pipeline.Skip.config ->
   ?mean_service:int ->
-  ?tr:Trace.t ->
   ?jobs:int ->
-  ?segment:int ->
   cfg:Serve.config ->
   Workload.t ->
   Serve.cell
-(** One cell over the cached (or given) trace; falls back to the
-    streaming generate driver for configurations the replay invariants
-    exclude.  Closed-loop arrivals and cells beyond
-    {!Serve.lat_keep_cap} stream through {!Serve.stream_queue} instead
-    of materializing the service vector.  With [jobs > 1] (or an
-    explicit [segment]) and no flush policy, the measured replay runs
-    snapshot-segmented on worker domains ({!Segmented}) — bit-identical
-    to the sequential cell at any [jobs]. *)
+(** One cell over the cached trace of its mode; modes the replay
+    invariants exclude run on {!Serve.live_executor} instead.  The
+    calibration and measured passes run on up to [jobs] domains, and a
+    [Base], [No_flush] cell without [mean_service] runs one pass. *)
 
 val sweep :
   ?ucfg:Dlink_uarch.Config.t ->
@@ -46,7 +41,8 @@ val sweep :
   flushes:Serve.flush list ->
   Workload.t ->
   Serve.cell list
-(** Mode x flush x load grid (in that nesting order) on the shared-memory
-    domain pool; traces and the calibration are computed before the pool
-    starts, so results are deterministic and independent of [jobs].
+(** Mode x flush x load grid (in that nesting order): one replay per
+    distinct (mode, flush) pair, run on up to [jobs] domains, with every
+    load folded over its service vector.  Traces are fetched before the
+    pool starts, so results are deterministic and independent of [jobs].
     Raises [Invalid_argument] on an empty axis or a bad load. *)

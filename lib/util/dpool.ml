@@ -49,99 +49,3 @@ let map ?(jobs = 1) f items =
            | None -> failwith (Printf.sprintf "Dpool.map: item %d missing" i))
          results)
   end
-
-(* Ordered producer/consumer pipeline.  Workers claim item indices from
-   the same atomic stealing cursor as [map] and run [produce] truly in
-   parallel; the calling domain consumes results strictly in index order,
-   so [consume] sees exactly the sequential-order stream and needs no
-   synchronisation of its own.  A bounded window provides backpressure: a
-   worker may not start item [i] until fewer than [window] items separate
-   it from the consumption frontier, so at most [window] produced-but-
-   unconsumed results are ever in flight — memory stays O(window), not
-   O(n).  This is the shape of segmented serving: segments replay on
-   domains while the main domain streams their per-request services into
-   the admission queue in request order. *)
-
-let run_ordered ?(jobs = 1) ?window ~produce ~consume n =
-  if n <= 0 then ()
-  else if jobs <= 1 || n <= 1 then
-    for i = 0 to n - 1 do
-      consume i (produce i)
-    done
-  else begin
-    let jobs = min jobs n in
-    let window = max (Option.value window ~default:(2 * jobs)) jobs in
-    let next = Atomic.make 0 in
-    let abort = Atomic.make false in
-    let slots = Array.make n None in
-    let consumed = ref 0 in
-    let m = Mutex.create () in
-    let can_produce = Condition.create () in
-    let can_consume = Condition.create () in
-    let rec worker () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n && not (Atomic.get abort) then begin
-        Mutex.lock m;
-        while i >= !consumed + window && not (Atomic.get abort) do
-          Condition.wait can_produce m
-        done;
-        Mutex.unlock m;
-        if not (Atomic.get abort) then begin
-          let r =
-            try Ok (produce i) with e -> Error (Printexc.to_string e)
-          in
-          Mutex.lock m;
-          slots.(i) <- Some r;
-          Condition.broadcast can_consume;
-          Mutex.unlock m
-        end;
-        worker ()
-      end
-    in
-    (* All [jobs] producers are spawned: the calling domain is the
-       consumer.  A failed spawn degrades gracefully as in [map]. *)
-    let spawned =
-      Array.init jobs (fun _ -> try Some (Domain.spawn worker) with _ -> None)
-    in
-    let stop () =
-      Atomic.set abort true;
-      Mutex.lock m;
-      Condition.broadcast can_produce;
-      Mutex.unlock m;
-      Array.iter (function Some d -> Domain.join d | None -> ()) spawned
-    in
-    let fail i msg =
-      stop ();
-      failwith (Printf.sprintf "Dpool.run_ordered: item %d raised: %s" i msg)
-    in
-    (* No spawn succeeded at all: fall back to producing inline. *)
-    if Array.for_all (( = ) None) spawned then
-      for i = 0 to n - 1 do
-        consume i (produce i)
-      done
-    else begin
-      let i = ref 0 in
-      while !i < n do
-        Mutex.lock m;
-        while slots.(!i) = None do
-          Condition.wait can_consume m
-        done;
-        let r = slots.(!i) in
-        slots.(!i) <- None;
-        consumed := !i + 1;
-        Condition.broadcast can_produce;
-        Mutex.unlock m;
-        (match r with
-        | Some (Ok v) -> (
-            match consume !i v with
-            | () -> ()
-            | exception e ->
-                stop ();
-                raise e)
-        | Some (Error msg) -> fail !i msg
-        | None -> assert false);
-        incr i
-      done;
-      stop ()
-    end
-  end

@@ -26,27 +26,3 @@ val default_jobs : unit -> int
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Sequential [List.map] when [jobs <= 1] or for lists of at most one
     element. *)
-
-val run_ordered :
-  ?jobs:int ->
-  ?window:int ->
-  produce:(int -> 'a) ->
-  consume:(int -> 'a -> unit) ->
-  int ->
-  unit
-(** [run_ordered ~jobs ~window ~produce ~consume n] runs [produce i] for
-    [i = 0..n-1] on up to [jobs] worker domains (stealing cursor, as in
-    {!map}) while the {e calling} domain applies [consume i result]
-    strictly in index order — so [consume] observes exactly the
-    sequential-order stream and may freely mutate caller-owned state.
-
-    [window] (default [2 * jobs], clamped to at least [jobs]) bounds the
-    number of produced-but-unconsumed items in flight: a worker blocks
-    before starting an item more than [window] ahead of the consumption
-    frontier, keeping memory O(window) regardless of [n].
-
-    [jobs <= 1] (or [n <= 1]) degrades to the pure sequential
-    [consume i (produce i)] loop — same observable behaviour, no domains.
-    If a [produce] raises, [Failure] names the item after all domains are
-    joined; if [consume] raises, the exception propagates likewise after
-    the join. *)

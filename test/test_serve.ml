@@ -1,8 +1,9 @@
 (* Serving-stack tests: arrival processes (open and closed loop), the
-   bounded admission queue and its push-based streaming mirror, cells
-   (generate vs replay vs streaming bit-identity, snapshot-segmented
-   parallel replay, determinism), the multi-core open-loop topology, and
-   the kernel's request-boundary tap. *)
+   push-based queue engine against a naive array reference model, cells
+   (live vs replay bit-identity, the execute-once fold against separate
+   single-cell runs, independence from jobs, determinism), the
+   multi-core open-loop topology, and the kernel's request-boundary
+   tap. *)
 
 module Rng = Dlink_util.Rng
 module Arrival = Dlink_util.Arrival
@@ -17,7 +18,6 @@ module Policy = Dlink_sched.Policy
 module Kernel = Dlink_pipeline.Kernel
 module Tcache = Dlink_trace.Cache
 module Replay = Dlink_trace.Replay
-module Segmented = Dlink_trace.Segmented
 module Serve_replay = Dlink_trace.Serve_replay
 
 let checkb = Alcotest.(check bool)
@@ -97,46 +97,110 @@ let test_closed_arrival_spec () =
 
 (* ---------------- queue engine ---------------- *)
 
+(* The reference model: the bounded FIFO written the obvious way, over
+   the whole arrival array at once, materializing every per-request
+   outcome.  Lazy admission of all arrivals at or before now, drop on a
+   full queue, idle to the next arrival when empty. *)
+type ref_stats = {
+  served : (int * int * int) array;  (** (request, latency, wait) *)
+  dropped : int;
+  busy : int;
+  span : int;
+}
+
+let simulate_queue ~arrivals ~queue_cap ~service =
+  let n = Array.length arrivals in
+  let q = Queue.create () in
+  let out = ref [] in
+  let now = ref 0 and busy = ref 0 in
+  let served = ref 0 and dropped = ref 0 and next = ref 0 in
+  let admit () =
+    while !next < n && arrivals.(!next) <= !now do
+      if Queue.length q < queue_cap then Queue.add !next q else incr dropped;
+      incr next
+    done
+  in
+  while !served + !dropped < n do
+    admit ();
+    if Queue.is_empty q then begin
+      if arrivals.(!next) > !now then now := arrivals.(!next);
+      admit ()
+    end;
+    let r = Queue.pop q in
+    let start = !now in
+    let s = service r in
+    busy := !busy + s;
+    now := !now + s;
+    out := (r, !now - arrivals.(r), start - arrivals.(r)) :: !out;
+    incr served
+  done;
+  {
+    served = Array.of_list (List.rev !out);
+    dropped = !dropped;
+    busy = !busy;
+    span = !now;
+  }
+
+(* The engine over explicit arrivals: every served (request, latency,
+   wait) in serve order, and the engine for its totals. *)
+let push_at ~arrivals ~queue_cap services =
+  let got = ref [] in
+  let sq =
+    Serve.stream_queue_at ~arrivals ~queue_cap ~sink:(fun ~req ~lat ~wait ->
+        got := (req, lat, wait) :: !got)
+  in
+  Array.iteri (fun req service -> Serve.stream_push sq ~req ~service) services;
+  (sq, Array.of_list (List.rev !got))
+
 (* Constant service against a hand-computable arrival pattern. *)
 let test_queue_hand_example () =
   (* service 10; arrivals at 0,2,4,100: three back-to-back, then idle. *)
-  let qs =
-    Serve.simulate_queue ~arrivals:[| 0; 2; 4; 100 |] ~queue_cap:8
-      ~service:(fun ~nth:_ ~req:_ -> 10)
+  let sq, got =
+    push_at ~arrivals:[| 0; 2; 4; 100 |] ~queue_cap:8 (Array.make 4 10)
   in
-  checki "served" 4 qs.Serve.q_served;
-  checki "dropped" 0 qs.Serve.q_dropped;
-  checkb "latencies" true (qs.Serve.q_lat_cycles = [| 10; 18; 26; 10 |]);
-  checkb "waits" true (qs.Serve.q_wait_cycles = [| 0; 8; 16; 0 |]);
-  checki "busy" 40 qs.Serve.q_busy;
-  checki "span" 110 qs.Serve.q_span
+  checki "served" 4 (Serve.stream_served sq);
+  checki "dropped" 0 (Serve.stream_dropped sq);
+  checkb "latencies" true
+    (Array.map (fun (_, lat, _) -> lat) got = [| 10; 18; 26; 10 |]);
+  checkb "waits" true
+    (Array.map (fun (_, _, wait) -> wait) got = [| 0; 8; 16; 0 |]);
+  checki "busy" 40 (Serve.stream_busy_cycles sq);
+  checki "span" 110 (Serve.stream_span_cycles sq);
+  checkb "reference model agrees" true
+    ((simulate_queue ~arrivals:[| 0; 2; 4; 100 |] ~queue_cap:8
+        ~service:(fun _ -> 10))
+       .served = got)
 
 let test_queue_drops_when_full () =
   (* cap 1: while request 0 is in service (0..100), arrivals 1,2,3 come;
      1 queues, 2 and 3 find the queue full and drop. *)
-  let qs =
-    Serve.simulate_queue ~arrivals:[| 0; 10; 20; 30 |] ~queue_cap:1
-      ~service:(fun ~nth:_ ~req:_ -> 100)
+  let sq, got =
+    push_at ~arrivals:[| 0; 10; 20; 30 |] ~queue_cap:1 (Array.make 4 100)
   in
-  checki "served" 2 qs.Serve.q_served;
-  checki "dropped" 2 qs.Serve.q_dropped;
-  checkb "served reqs" true (qs.Serve.q_reqs = [| 0; 1 |])
+  checki "served" 2 (Serve.stream_served sq);
+  checki "dropped" 2 (Serve.stream_dropped sq);
+  checkb "served reqs" true (Array.map (fun (r, _, _) -> r) got = [| 0; 1 |]);
+  checkb "reference model agrees" true
+    ((simulate_queue ~arrivals:[| 0; 10; 20; 30 |] ~queue_cap:1
+        ~service:(fun _ -> 100))
+       .served = got);
+  match
+    Serve.stream_queue_at ~arrivals:[| 5; 3 |] ~queue_cap:1
+      ~sink:(fun ~req:_ ~lat:_ ~wait:_ -> ())
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "unsorted arrivals should raise"
 
 let test_queue_wait_plus_service () =
   let rng = Rng.create 5 in
   let arr = Arrival.times ~seed:9 ~mean_gap:30.0 ~n:300 Arrival.Poisson in
   let services = Array.init 300 (fun _ -> 1 + Rng.int rng 60) in
-  let qs =
-    Serve.simulate_queue ~arrivals:arr ~queue_cap:16
-      ~service:(fun ~nth:_ ~req -> services.(req))
-  in
-  checki "conservation" 300 (qs.Serve.q_served + qs.Serve.q_dropped);
-  Array.iteri
-    (fun i r ->
-      checki "lat = wait + service"
-        (qs.Serve.q_wait_cycles.(i) + services.(r))
-        qs.Serve.q_lat_cycles.(i))
-    qs.Serve.q_reqs
+  let sq, got = push_at ~arrivals:arr ~queue_cap:16 services in
+  checki "conservation" 300 (Serve.stream_served sq + Serve.stream_dropped sq);
+  Array.iter
+    (fun (r, lat, wait) ->
+      checki "lat = wait + service" (wait + services.(r)) lat)
+    got
 
 (* ---------------- cells: generate vs replay, determinism ------------- *)
 
@@ -231,13 +295,54 @@ let test_sweep_jobs_deterministic () =
         && a.Serve.lat_cycles = b.Serve.lat_cycles))
     seq par
 
+(* ---------------- execute once, fold every load ---------------- *)
+
+(* Whole-cell equality; [compare] treats the NaN fields of an empty cell
+   as equal. *)
+let same_cell (a : Serve.cell) (b : Serve.cell) = compare a b = 0
+
+(* A sweep runs one pass per (mode, flush) pair and folds every load over
+   it; each of its cells must equal a cell run on its own, which executes
+   its own calibration and measured passes. *)
+let test_sweep_fold_matches_cells () =
+  Tcache.clear ();
+  let w = wl "synth" in
+  let cfg = { (mk_cfg ()) with Serve.requests = 70 } in
+  let loads = [ 0.6; 1.0; 1.4 ] in
+  let modes = [ Sim.Base; Sim.Enhanced ] in
+  let flushes = [ Serve.No_flush; Serve.Flush; Serve.Asid ] in
+  List.iter
+    (fun arrival ->
+      let cfg = { cfg with Serve.arrival } in
+      let seq = Serve_replay.sweep ~jobs:1 ~cfg ~loads ~modes ~flushes w in
+      let par = Serve_replay.sweep ~jobs:2 ~cfg ~loads ~modes ~flushes w in
+      checki "cells" 18 (List.length seq);
+      List.iter2
+        (fun (a : Serve.cell) (b : Serve.cell) ->
+          let msg = Serve.cell_label a in
+          checkb (msg ^ ": jobs 1 = jobs 2") true (same_cell a b);
+          checkb (msg ^ ": fold = single cell") true
+            (same_cell a (Serve_replay.run_cell ~cfg:a.Serve.cfg w)))
+        seq par;
+      let base = List.hd seq in
+      checkb "first cell is (base, none)" true
+        (base.Serve.cfg.Serve.mode = Sim.Base
+        && base.Serve.cfg.Serve.flush = Serve.No_flush);
+      checki "fold calibration = Serve_replay.calibrate"
+        (Serve_replay.calibrate ~requests:70 w)
+        base.Serve.mean_service_cycles;
+      checki "fold calibration = calibrate_generate"
+        (Serve.calibrate_generate ~requests:70 w)
+        base.Serve.mean_service_cycles)
+    [ Arrival.Poisson; Arrival.default_mmpp; Arrival.Closed { clients = 4 } ]
+
 (* ---------------- streaming engine and cells ---------------- *)
 
-(* The streaming driver must reproduce the array driver exactly — same
+(* The live driver with its calibration and measured passes on two
+   domains must reproduce the calling-domain driver exactly — same
    latency vector, same order-sensitive fingerprint, same counters —
-   across modes, flush policies, and arrival processes.  For the
-   Base/No_flush row this also exercises the snapshot-segmented measured
-   pass (the default streaming path segments even at jobs = 1). *)
+   across modes, flush policies, and arrival processes.  The Base/No_flush
+   row is its own calibration and runs one pass. *)
 let test_stream_matches_generate () =
   Tcache.clear ();
   let w = wl "synth" in
@@ -245,7 +350,7 @@ let test_stream_matches_generate () =
     (fun (mode, flush, arrival) ->
       let cfg = mk_cfg ~mode ~flush ~arrival () in
       let g = Serve.run_cell_generate ~cfg w in
-      let s = Serve.run_cell_stream ~cfg w in
+      let s = Serve.run_cell_stream ~jobs:2 ~cfg w in
       let msg =
         Printf.sprintf "%s/%s/%s" (Sim.mode_to_string mode)
           (Serve.flush_to_string flush)
@@ -298,127 +403,74 @@ let test_closed_cell () =
     (a.Serve.lat_cycles = r.Serve.lat_cycles
     && a.Serve.lat_fingerprint = r.Serve.lat_fingerprint
     && a.Serve.counters = r.Serve.counters);
-  match Serve.run_cell_generate ~cfg w with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "array driver cannot run closed cells"
+  checkb "generate driver identical" true
+    (same_cell a (Serve.run_cell_generate ~cfg w))
 
 let test_closed_jobs_invariant () =
   let w = wl "synth" in
-  let cfg =
-    {
-      (mk_cfg ~mode:Sim.Base ~arrival:(Arrival.Closed { clients = 6 }) ()) with
-      Serve.requests = 200;
-    }
-  in
-  let a = Serve.run_cell_stream ~jobs:1 ~cfg w in
-  let b = Serve.run_cell_stream ~jobs:4 ~cfg w in
-  checkb "different segmentations" true
-    (b.Serve.segments > 1 && a.Serve.segments <> b.Serve.segments);
-  checkb "bit-identical across jobs" true
-    (a.Serve.lat_fingerprint = b.Serve.lat_fingerprint
-    && a.Serve.lat_cycles = b.Serve.lat_cycles
-    && a.Serve.counters = b.Serve.counters
-    && a.Serve.span_us = b.Serve.span_us)
+  List.iter
+    (fun mode ->
+      let cfg =
+        {
+          (mk_cfg ~mode ~arrival:(Arrival.Closed { clients = 6 }) ()) with
+          Serve.requests = 200;
+        }
+      in
+      let a = Serve.run_cell_stream ~jobs:1 ~cfg w in
+      checkb
+        (Sim.mode_to_string mode ^ ": bit-identical across jobs")
+        true
+        (List.for_all
+           (fun jobs -> same_cell a (Serve.run_cell_stream ~jobs ~cfg w))
+           [ 2; 4 ]))
+    [ Sim.Base; Sim.Enhanced ]
 
-(* Snapshot-segmented generate-side replay: every (jobs, segment) choice
-   must match the sequential array driver bit for bit. *)
-let test_segmented_stream_identity () =
+(* The live driver's outcome does not depend on [jobs], whether the cell
+   is its own calibration (one pass) or needs a separate one (two passes
+   on the pool), and matches the calling-domain driver bit for bit. *)
+let test_stream_jobs_invariant () =
+  let check w cfg =
+    let g = Serve.run_cell_generate ~cfg w in
+    List.iter
+      (fun jobs ->
+        checkb
+          (Printf.sprintf "%s %s jobs %d = generate" w.Workload.wname
+             (Serve.cell_label g) jobs)
+          true
+          (same_cell g (Serve.run_cell_stream ~jobs ~cfg w)))
+      [ 1; 2; 4 ]
+  in
   let w = wl "synth" in
   let cfg =
     { (mk_cfg ~mode:Sim.Base ~load:1.1 ()) with Serve.requests = 300 }
   in
-  let g = Serve.run_cell_generate ~cfg w in
-  let s37 = Serve.run_cell_stream ~jobs:1 ~segment:37 ~cfg w in
-  checki "explicit segment geometry" 9 s37.Serve.segments;
-  List.iter
-    (fun (s : Serve.cell) ->
-      checkb "matches generate bit for bit" true
-        (s.Serve.lat_cycles = g.Serve.lat_cycles
-        && s.Serve.lat_fingerprint = g.Serve.lat_fingerprint
-        && s.Serve.counters = g.Serve.counters
-        && s.Serve.p999_us = g.Serve.p999_us))
-    [
-      s37;
-      Serve.run_cell_stream ~jobs:4 ~cfg w;
-      Serve.run_cell_stream ~jobs:3 ~segment:100 ~cfg w;
-    ];
+  check w cfg;
+  check w { cfg with Serve.mode = Sim.Enhanced; flush = Serve.Flush };
   (* Same invariant on the realistic memcached stream. *)
-  let wm = wl "memcached" in
-  let cfgm = { (mk_cfg ~mode:Sim.Base ()) with Serve.requests = 90 } in
-  let gm = Serve.run_cell_generate ~cfg:cfgm wm in
-  let sm = Serve.run_cell_stream ~jobs:4 ~cfg:cfgm wm in
-  checkb "memcached segmented = generate" true
-    (sm.Serve.segments > 1
-    && sm.Serve.lat_cycles = gm.Serve.lat_cycles
-    && sm.Serve.lat_fingerprint = gm.Serve.lat_fingerprint
-    && sm.Serve.counters = gm.Serve.counters)
+  check (wl "memcached") { (mk_cfg ~mode:Sim.Base ()) with Serve.requests = 90 }
 
-let test_replay_segmented_jobs () =
+let test_replay_jobs_invariant () =
   Tcache.clear ();
   let w = wl "synth" in
   let cfg = { (mk_cfg ~mode:Sim.Enhanced ()) with Serve.requests = 120 } in
   let a = Serve_replay.run_cell ~cfg w in
-  checki "sequential path unsegmented" 1 a.Serve.segments;
-  let b = Serve_replay.run_cell ~jobs:4 ~cfg w in
-  let c = Serve_replay.run_cell ~jobs:1 ~segment:17 ~cfg w in
-  checkb "parallel path segmented" true (b.Serve.segments > 1);
-  checki "explicit segment geometry" 8 c.Serve.segments;
   List.iter
-    (fun (s : Serve.cell) ->
-      checkb "segmented replay = sequential replay" true
-        (s.Serve.lat_cycles = a.Serve.lat_cycles
-        && s.Serve.lat_fingerprint = a.Serve.lat_fingerprint
-        && s.Serve.counters = a.Serve.counters))
-    [ b; c ]
-
-(* ---------------- segmented trace replay ---------------- *)
-
-let test_segmented_replay_matches_sequential () =
-  Tcache.clear ();
-  let w = wl "synth" in
-  let n = 100 in
-  List.iter
-    (fun mode ->
-      let tr = Tcache.get ~requests:n ~mode w in
-      let seq = Replay.replay_counters ~mode ~requests:n tr in
-      let p = Segmented.plan ~segment:13 ~requests:n ~mode tr in
-      checki "segments" 8 (Segmented.seg_count p);
-      checki "requests covered" n (Segmented.requests p);
-      let services = Array.make n (-1) in
-      let order_ok = ref true and last = ref (-1) in
-      let merged, recorder =
-        Segmented.replay ~jobs:4
-          ~consume:(fun ~req ~service ->
-            if req <> !last + 1 then order_ok := false;
-            last := req;
-            services.(req) <- service)
-          p tr
-      in
-      checkb "consume in strict index order" true (!order_ok && !last = n - 1);
-      checkb "merged counters = sequential replay" true (merged = seq);
-      checki "recorder count" n (Latency.count recorder);
-      checki "services sum to measured cycles" seq.Counters.cycles
-        (Array.fold_left ( + ) 0 services))
-    [ Sim.Base; Sim.Enhanced ]
-
-let test_segmented_plan_rejects_bad () =
-  Tcache.clear ();
-  let w = wl "synth" in
-  let tr = Tcache.get ~requests:20 ~mode:Sim.Base w in
-  (match Segmented.plan ~segment:0 ~requests:20 ~mode:Sim.Base tr with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "segment 0 should raise");
-  match Segmented.plan ~requests:21 ~mode:Sim.Base tr with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "requests beyond the trace should raise"
+    (fun jobs ->
+      checkb
+        (Printf.sprintf "replay jobs %d = jobs 1" jobs)
+        true
+        (same_cell a (Serve_replay.run_cell ~jobs ~cfg w)))
+    [ 2; 4 ]
 
 (* ---------------- properties ---------------- *)
 
 let qcheck_tests =
   [
-    (* The push-based streaming engine is a drop-in mirror of the array
-       queue engine: identical served set, per-request latency and wait,
-       drops, busy time, and span, for random cells. *)
+    (* The push engine, generating its arrivals incrementally, against the
+       reference model over [Arrival.times]: identical served set,
+       per-request latency and wait, drops, busy time, and span, for
+       random Poisson and MMPP cells — and [Serve.run_queue], the same
+       engine over a whole vector, agrees on the totals. *)
     QCheck.Test.make ~name:"stream_queue mirrors run_queue" ~count:150
       QCheck.(
         quad (int_range 0 150) (int_range 1 12) (int_range 0 10_000)
@@ -438,7 +490,14 @@ let qcheck_tests =
         in
         let rng = Rng.create (seed + 77) in
         let services = Array.init n (fun _ -> Rng.int rng 200) in
-        let qs = Serve.run_queue ~cfg ~mean_service ~services in
+        let expect =
+          simulate_queue ~queue_cap:cap
+            ~service:(fun r -> services.(r))
+            ~arrivals:
+              (Arrival.times ~seed
+                 ~mean_gap:(float_of_int mean_service /. load)
+                 ~n arrival)
+        in
         let got = ref [] in
         let sq =
           Serve.stream_queue ~cfg ~mean_service ~sink:(fun ~req ~lat ~wait ->
@@ -447,16 +506,19 @@ let qcheck_tests =
         Array.iteri
           (fun req service -> Serve.stream_push sq ~req ~service)
           services;
-        let got = Array.of_list (List.rev !got) in
-        got
-        = Array.init qs.Serve.q_served (fun i ->
-              ( qs.Serve.q_reqs.(i),
-                qs.Serve.q_lat_cycles.(i),
-                qs.Serve.q_wait_cycles.(i) ))
-        && Serve.stream_served sq = qs.Serve.q_served
-        && Serve.stream_dropped sq = qs.Serve.q_dropped
-        && Serve.stream_busy_cycles sq = qs.Serve.q_busy
-        && Serve.stream_span_cycles sq = qs.Serve.q_span);
+        let totals q =
+          ( Serve.stream_served q,
+            Serve.stream_dropped q,
+            Serve.stream_busy_cycles q,
+            Serve.stream_span_cycles q )
+        in
+        Array.of_list (List.rev !got) = expect.served
+        && totals sq
+           = ( Array.length expect.served,
+               expect.dropped,
+               expect.busy,
+               expect.span )
+        && totals (Serve.run_queue ~cfg ~mean_service ~services) = totals sq);
     (* Snapshot/restore is exact: resuming a restored fresh simulator
        replays the suffix bit-identically — per-request cycles, measured
        counters, and the full state fingerprint — across every link mode
@@ -624,6 +686,8 @@ let () =
             test_cell_saturation_and_validation;
           Alcotest.test_case "sweep jobs-independent" `Quick
             test_sweep_jobs_deterministic;
+          Alcotest.test_case "sweep fold = single cells" `Quick
+            test_sweep_fold_matches_cells;
         ] );
       ( "stream",
         [
@@ -632,17 +696,10 @@ let () =
           Alcotest.test_case "closed-loop cell" `Quick test_closed_cell;
           Alcotest.test_case "closed-loop jobs-invariant" `Quick
             test_closed_jobs_invariant;
-          Alcotest.test_case "segmented stream identity" `Quick
-            test_segmented_stream_identity;
-          Alcotest.test_case "segmented replay cell" `Quick
-            test_replay_segmented_jobs;
-        ] );
-      ( "segmented",
-        [
-          Alcotest.test_case "matches sequential replay" `Quick
-            test_segmented_replay_matches_sequential;
-          Alcotest.test_case "rejects bad plans" `Quick
-            test_segmented_plan_rejects_bad;
+          Alcotest.test_case "live cell jobs-invariant" `Quick
+            test_stream_jobs_invariant;
+          Alcotest.test_case "replay cell jobs-invariant" `Quick
+            test_replay_jobs_invariant;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
       ( "boundaries",

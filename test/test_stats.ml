@@ -219,8 +219,7 @@ let test_latency_buckets_sum () =
     (Latency.buckets l)
 
 (* Merging two recorders must be indistinguishable from one recorder fed
-   the concatenated stream — the property the segmented replay driver
-   relies on when it combines per-segment recorders. *)
+   the concatenated stream. *)
 let test_latency_merge_matches_concat () =
   let xs =
     Array.init 40 (fun i -> 0.001 *. float_of_int (1 + (i * 37 mod 97)))

@@ -249,55 +249,6 @@ let test_dpool_map () =
   | _ -> Alcotest.fail "domain exception should surface as Failure"
   | exception Failure _ -> ()
 
-(* run_ordered feeds the consumer on the calling domain in strict index
-   order whatever the worker count or backpressure window — the property
-   the segmented serving driver's queue arithmetic depends on. *)
-let test_dpool_run_ordered () =
-  List.iter
-    (fun (jobs, window) ->
-      let n = 200 in
-      let seen = ref [] in
-      Dpool.run_ordered ~jobs ?window
-        ~produce:(fun i -> (i * i) - 3)
-        ~consume:(fun i v -> seen := (i, v) :: !seen)
-        n;
-      let seen = List.rev !seen in
-      Alcotest.(check int)
-        (Printf.sprintf "jobs=%d all consumed" jobs)
-        n (List.length seen);
-      List.iteri
-        (fun k (i, v) ->
-          Alcotest.(check int) "strict index order" k i;
-          Alcotest.(check int) "value matches producer" ((k * k) - 3) v)
-        seen)
-    [ (1, None); (2, None); (4, None); (4, Some 1); (9, Some 64); (3, Some 2) ];
-  let hits = ref 0 in
-  Dpool.run_ordered ~jobs:4 ~produce:Fun.id
-    ~consume:(fun _ _ -> incr hits)
-    0;
-  Alcotest.(check int) "n=0 consumes nothing" 0 !hits;
-  Dpool.run_ordered ~jobs:4
-    ~produce:(fun i -> i + 5)
-    ~consume:(fun i v ->
-      Alcotest.(check int) "n=1 inline" 0 i;
-      Alcotest.(check int) "n=1 value" 5 v)
-    1;
-  (match
-     Dpool.run_ordered ~jobs:2
-       ~produce:(fun i -> if i = 7 then failwith "boom" else i)
-       ~consume:(fun _ _ -> ())
-       20
-   with
-  | () -> Alcotest.fail "producer exception should surface"
-  | exception Failure _ -> ());
-  match
-    Dpool.run_ordered ~jobs:2 ~produce:Fun.id
-      ~consume:(fun i _ -> if i = 5 then failwith "sink")
-      20
-  with
-  | () -> Alcotest.fail "consumer exception should surface"
-  | exception Failure _ -> ()
-
 let test_json_atomic () =
   let path = Filename.temp_file "dlink_trace_test" ".json" in
   let v = Json.Obj [ ("sim_mips", Json.Float 12.5); ("ok", Json.Bool true) ] in
@@ -396,7 +347,6 @@ let () =
         [
           Alcotest.test_case "parallel map" `Quick test_parallel_map;
           Alcotest.test_case "domain pool map" `Quick test_dpool_map;
-          Alcotest.test_case "domain pool ordered" `Quick test_dpool_run_ordered;
           Alcotest.test_case "atomic json" `Quick test_json_atomic;
         ] );
       ( "alloc",
