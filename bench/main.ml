@@ -27,7 +27,6 @@ module Qs = Dlink_sched.Quantum_sweep
 module Replay = Dlink_trace.Replay
 module Tcache = Dlink_trace.Cache
 module Sreplay = Dlink_trace.Sched_replay
-module Parallel = Dlink_util.Parallel
 module Dpool = Dlink_util.Dpool
 module W = Dlink_workloads
 module Table = Dlink_util.Table
@@ -67,7 +66,7 @@ let jobs =
   let rec scan = function
     | "--jobs" :: n :: _ -> (
         match int_of_string_opt n with
-        | Some 0 -> Parallel.default_jobs ()
+        | Some 0 -> Dpool.default_jobs ()
         | Some n when n > 0 -> n
         | _ ->
             Printf.eprintf "bad --jobs value: %s\n" n;
@@ -200,8 +199,7 @@ let make_triple ?(verbose = true) name =
 (* Domain workers share the heap, so triples — workload closures
    included — come back directly, and every trace a worker records lands
    in the shared mutex-guarded cache where the later sections replay it
-   instead of re-recording (the fork pool lost the children's
-   recordings to copy-on-write). *)
+   instead of re-recording. *)
 let make_triples () =
   if jobs <= 1 then List.map (fun n -> (n, make_triple n)) workload_names
   else begin

@@ -387,8 +387,8 @@ let multi_cmd =
     let workloads = List.map (fun n -> get_workload n seed) mix in
     if sweep then begin
       (* Each workload is recorded once, then every (quantum, policy)
-         combination replays the packed traces — across --jobs forked
-         workers when given.  Points are identical to [Qs.sweep]. *)
+         combination replays the packed traces — across --jobs domains
+         when given.  Points are identical to [Qs.sweep]. *)
       let points =
         Dlink_trace.Sched_replay.sweep ?requests ?jobs ~cores
           ~policies:Dlink_sched.Policy.all workloads
@@ -480,8 +480,8 @@ let multi_cmd =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Forked worker processes for $(b,--sweep): each (quantum, \
-             policy) point replays the cached traces in parallel.")
+            "Domains for $(b,--sweep): each (quantum, policy) point \
+             replays the cached traces in parallel.")
   in
   Cmd.v
     (Cmd.info "multi" ~doc:"Multi-process scheduling: flush vs ASID-tagged ABTB")

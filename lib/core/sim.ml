@@ -82,14 +82,15 @@ let mark_measurement_start t =
 
 let measured_counters t = Counters.diff ~after:(counters t) ~before:t.snapshot
 
-(* Whole-simulator snapshot for segmented serving: kernel (uarch tables,
-   skip controller, counters) + process (memory, PC, SP, site counters) +
-   the measurement baseline.  The profile is NOT captured: it is
-   reporting-side instrumentation, and the segmented driver only needs the
-   state that determines future execution and cycle accounting.  The
-   loader/space is immutable during serving (the resolver rebinds through
-   memory writes only), so restoring into a fresh [create]-d simulator of
-   the same mode/objects/seed reproduces execution exactly. *)
+(* Whole-simulator snapshot: kernel (uarch tables, skip controller,
+   counters) + process (memory, PC, SP, site counters) + the measurement
+   baseline.  Its only users are the benchmark's [core.snapshot_us] probe
+   and test_serve's resume-bit-identically qcheck.  The profile is NOT
+   captured: it is reporting-side instrumentation, and a resumed run only
+   needs the state that determines future execution and cycle accounting.
+   The loader/space is immutable during serving (the resolver rebinds
+   through memory writes only), so restoring into a fresh [create]-d
+   simulator of the same mode/objects/seed reproduces execution exactly. *)
 
 type snap = {
   sn_kernel : Kernel.snap;

@@ -95,8 +95,9 @@ val snapshot : t -> snap
 val restore : t -> snap -> unit
 (** Overwrite [t] with the snapshot.  The target must be a simulator of
     the same mode, objects, uarch config, and (absent) ASLR seed — i.e.
-    built by the same [create] call — so the shared loader state matches;
-    segment workers build a fresh simulator each and restore into it. *)
+    built by the same [create] call — so the shared loader state matches.
+    Snapshots back the benchmark's [core.snapshot_us] probe and a
+    resume-bit-identically test. *)
 
 val state_fingerprint : t -> int
 (** Deterministic digest of microarchitectural + architectural state

@@ -2,6 +2,8 @@ open Dlink_uarch
 module Rng = Dlink_util.Rng
 module Skip = Dlink_pipeline.Skip
 module Coherence = Dlink_mach.Coherence
+module Churn = Dlink_core.Churn
+module Dynload = Dlink_linker.Dynload
 
 type t = {
   plan : Plan.t;
@@ -129,22 +131,32 @@ let apply t action =
 
 let on_request t at = List.iter (apply t) (Plan.actions_at t.plan at)
 
-(* Churn-driver hooks: the driver owns dlopen/dlclose, so it polls these
-   before each close and brackets the close's invalidation stores. *)
+let on_machine ~plan (m : Churn.machine) =
+  let skips = Churn.skips m in
+  let t =
+    create ?bus:m.Churn.bus ~rewrite:(Churn.rewrite_got m) ~skip:skips.(0)
+      ~counters:(Dlink_pipeline.Kernel.counters m.Churn.kernel)
+      ~plan ()
+  in
+  Array.iteri (fun i sk -> if i > 0 then attach_skip t sk) skips;
+  set_current t (Some (fun () -> skips.(!(m.Churn.cur))));
+  t
 
-let take_stale_unload t =
+(* The plan's churn hazards are realised at the driver's closes. *)
+let close t dynload h =
   if t.stale_unload > 0 then begin
     t.stale_unload <- t.stale_unload - 1;
+    t.suppress_all <- true;
+    Dynload.dlclose dynload h;
+    t.suppress_all <- false;
     true
   end
-  else false
-
-let take_unload_inflight t =
-  if t.unload_inflight > 0 then begin
+  else if t.unload_inflight > 0 then begin
     t.unload_inflight <- t.unload_inflight - 1;
+    Dynload.dlclose ~defer_invalidate:true dynload h;
     true
   end
-  else false
-
-let begin_unbounded_suppress t = t.suppress_all <- true
-let end_unbounded_suppress t = t.suppress_all <- false
+  else begin
+    Dynload.dlclose dynload h;
+    false
+  end

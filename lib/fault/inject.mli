@@ -23,8 +23,8 @@ val create :
 (** Arms the skip unit's clear-veto hook and (when [bus] is given) the
     bus's fault hook.  [rewrite] performs a [Got_rewrite] action — it gets
     the injector's RNG and reports whether a slot was actually rebound;
-    the differential oracle supplies it because only the oracle holds both
-    memories.  Without it, [Got_rewrite] events are no-ops. *)
+    the driver supplies it because only the driver holds the memories.
+    Without it, [Got_rewrite] events are no-ops. *)
 
 val on_request : t -> int -> unit
 (** Apply every plan action scheduled at this request index.  Call once
@@ -44,22 +44,16 @@ val set_current : t -> (unit -> Skip.t) option -> unit
 val detach : t -> unit
 (** Remove the veto and bus hooks, restoring fault-free behaviour. *)
 
-(** {2 Churn-driver hooks}
+(** {2 Churn-machine hooks} *)
 
-    [Stale_unload]/[Unload_inflight] actions only arm counters here; the
-    churn driver (which owns dlopen/dlclose) polls them before each close
-    and realises the hazard. *)
+val on_machine : plan:Plan.t -> Dlink_core.Churn.machine -> t
+(** The injector of a churn driver: armed on every core's skip unit and
+    (with more than one core) the machine's bus, striking the dispatched
+    core, with {!Dlink_core.Churn.rewrite_got} as its [Got_rewrite]. *)
 
-val take_stale_unload : t -> bool
-(** Consume one pending [Stale_unload] credit, if any. *)
-
-val take_unload_inflight : t -> bool
-(** Consume one pending [Unload_inflight] credit, if any. *)
-
-val begin_unbounded_suppress : t -> unit
-(** Veto every filter-driven ABTB clear until the matching
-    {!end_unbounded_suppress} — brackets a dlclose whose invalidation
-    stores must be architecturally applied but microarchitecturally
-    lost. *)
-
-val end_unbounded_suppress : t -> unit
+val close : t -> Dlink_linker.Dynload.t -> Dlink_linker.Dynload.handle -> bool
+(** A churn close that realises a pending hazard: a [Stale_unload] close
+    applies its invalidation stores with every resulting ABTB clear
+    vetoed; an [Unload_inflight] close defers them past the unmap, to
+    the next {!Dlink_linker.Dynload.flush_pending}.  Returns whether a
+    hazard was realised. *)

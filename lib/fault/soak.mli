@@ -16,10 +16,12 @@
     (retry, epoch-guard discard, quarantine/degrade) or {e caught} as a
     classified violation — never a silent wrong-target skip.
 
-    The request loop mirrors {!Dlink_core.Churn.run_cell} draw for draw:
-    a [cores = 1] soak retires bit-identical counters to the equivalent
-    churn cell ({!crosscheck} enforces this), so multi-core soaks are
-    directly comparable to the perf grid's cells. *)
+    The soak runs on the churn machine ({!Dlink_core.Churn.make_machine})
+    and adds only its checker and fault injector, so a fault-free
+    [cores = 1] soak retires counters bit-identical to the equivalent
+    {!Dlink_core.Churn.run_cell} ({!crosscheck}).  One core has no bus:
+    coherence faults in a one-core plan count as injected and change
+    nothing else. *)
 
 open Dlink_uarch
 module Skip = Dlink_pipeline.Skip
@@ -40,17 +42,11 @@ type params = {
   epoch_guard : bool;
       (** validate message generation stamps at delivery (the protocol);
           [false] is the ABA ablation the checker then catches *)
-  degrade_window : int;
-      (** skip-suppression window forced on a core that times out *)
-  call_fuel : int;
-      (** per-request interpreter fuel: a mis-directed call under faults
-          may never return, and fuel exhaustion becomes a classified
-          crash instead of a hang *)
 }
 
 val default_params : params
 (** 4 cores, quantum 64, [Asid_shared_guard], lazy binding, rate 100,
-    10k ops, epoch guard on, degrade window 64, fuel 1M. *)
+    10k ops, epoch guard on. *)
 
 type bus_stats = {
   published : int;
@@ -98,9 +94,10 @@ val run :
   Churn.scenario ->
   report
 (** Soak the scenario under [params], optionally applying a fault plan.
-    Deterministic: same arguments, same report.  Ends with a quiesce —
-    drain until the bus empties, then {!Dlink_linker.Dynload.force_retiring}
-    — so no in-flight state leaks out of the run. *)
+    Each call runs on {!Dlink_core.Churn.call_fuel}, so a mis-directed
+    call becomes a classified crash instead of a hang.  Deterministic:
+    same arguments, same report.  Ends with {!Dlink_core.Churn.quiesce},
+    so no in-flight state leaks out of the run. *)
 
 val check : ?plan:Plan.t -> report -> string list
 (** Safety properties of a finished soak, as failure messages (empty =
@@ -132,5 +129,6 @@ val crosscheck :
   Churn.scenario ->
   (unit, string) result
 (** Run a [cores = 1], fault-free soak and the equivalent
-    {!Churn.run_cell}; [Ok] iff their measurement-window counters are
-    bit-identical. *)
+    {!Churn.run_cell} on the same machine; [Ok] iff their
+    measurement-window counters are bit-identical — the soak's taps and
+    injector leave the machine alone. *)

@@ -224,19 +224,19 @@ let replay_request t (c : Trace.Cursor.t) r =
   replay_events t c ~stop:c.Trace.Cursor.trace.Trace.req_start.(r + 1)
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot/restore — the capability behind segmented replay (DESIGN
-   §4.14).  A snapshot freezes everything the retire pipeline reads or
-   writes: the engine (tables, predictors, counters, ASID) and the skip
-   controller (ABTB, filter, shadows, idiom window, quarantine).  The
-   driver-owned attachments — [read_got], [profile], [got_sink], [tap],
-   [boundary_tap] — are deliberately NOT captured: they are wiring, not
-   state, and each restore target keeps its own.  Counters are restored in
-   place (the kernel and engine share one record, and drivers hold it by
-   reference via [counters t]).
+(* Snapshot/restore, used by [Sim.snapshot] (the benchmark's
+   [core.snapshot_us] probe and a resume test).  A snapshot freezes
+   everything the retire pipeline reads or writes: the engine (tables,
+   predictors, counters, ASID) and the skip controller (ABTB, filter,
+   shadows, idiom window, quarantine).  The driver-owned attachments —
+   [read_got], [profile], [got_sink], [tap], [boundary_tap] — are
+   deliberately NOT captured: they are wiring, not state, and each
+   restore target keeps its own.  Counters are restored in place (the
+   kernel and engine share one record, and drivers hold it by reference
+   via [counters t]).
 
-   Cost: dominated by the cache tables' bigarray blits — a few MiB,
-   flat memcpy, no per-entry work — cheap enough to take every K requests
-   during a calibration pass. *)
+   Cost: dominated by the cache tables' bigarray blits — a few MiB, flat
+   memcpy, no per-entry work. *)
 
 type snap = { k_engine : Engine.snap; k_skip : Skip.snap option }
 

@@ -144,8 +144,8 @@ val restore : t -> snap -> unit
     the same {!Dlink_mach.Config.t} geometry and the same [with_skip] as
     the snapshotted kernel ([Invalid_argument] otherwise).  Counters are
     restored in place, preserving the identity of the record returned by
-    {!counters}.  A snapshot may be restored into many kernels (one per
-    replay segment) without aliasing. *)
+    {!counters}.  A snapshot may be restored into many kernels without
+    aliasing. *)
 
 val fingerprint : t -> int
 (** Deterministic digest of the kernel's microarchitectural state (tables,

@@ -25,10 +25,6 @@ type core = {
   mutable runq : int list; (* pids assigned here, scheduling order *)
   mutable running : int; (* pid, -1 = none *)
   mutable switches : int;
-  (* Idle cycles on this core's clock: an open-loop server with an empty
-     admission queue waits for the next arrival instead of executing, so
-     the core's virtual time is [counters.cycles + idle]. *)
-  mutable idle : int;
 }
 
 type t = {
@@ -46,17 +42,6 @@ type t = {
   lat_us_rev : float list array;
   cycles_to_us : (int -> float) array;
   mutable exec : core -> pid:int -> req:int -> unit;
-  (* Open-loop serving state, all indexed by pid.  [arrivals] are absolute
-     arrival times relative to the core clock at the pid's first open-loop
-     quantum ([ol_base]); requests wait in a bounded FIFO admission queue
-     and arrivals that find it full are dropped. *)
-  arrivals : int array option array;
-  queue_cap : int array;
-  queue : int Queue.t array;
-  admit_next : int array;
-  ol_base : int array;
-  dropped : int array;
-  lat_cycles_rev : int list array;
 }
 
 let no_exec _ ~pid:_ ~req:_ =
@@ -91,7 +76,7 @@ let create ?ucfg ?skip_cfg ~with_skip ~policy ~quantum ~cores specs =
         if policy = Policy.Asid_shared_guard then
           Kernel.set_got_sink kernel
             (Some (fun addr -> Coherence.publish bus ~src:core_id addr));
-        { core_id; kernel; runq = []; running = -1; switches = 0; idle = 0 })
+        { core_id; kernel; runq = []; running = -1; switches = 0 })
   in
   let t =
     {
@@ -109,13 +94,6 @@ let create ?ucfg ?skip_cfg ~with_skip ~policy ~quantum ~cores specs =
       lat_us_rev = Array.make n [];
       cycles_to_us = Array.map (fun (s : spec) -> s.cycles_to_us) specs;
       exec = no_exec;
-      arrivals = Array.make n None;
-      queue_cap = Array.make n 0;
-      queue = Array.init n (fun _ -> Queue.create ());
-      admit_next = Array.make n 0;
-      ol_base = Array.make n (-1);
-      dropped = Array.make n 0;
-      lat_cycles_rev = Array.make n [];
     }
   in
   for pid = 0 to n - 1 do
@@ -165,33 +143,6 @@ let latencies_us t pid =
   check_pid t "latencies_us" pid;
   Array.of_list (List.rev t.lat_us_rev.(pid))
 
-let set_open_loop t ~pid ~arrivals ~queue_cap =
-  check_pid t "set_open_loop" pid;
-  if queue_cap <= 0 then
-    invalid_arg "Multi.set_open_loop: queue_cap must be positive";
-  if Array.length arrivals <> t.remaining.(pid) then
-    invalid_arg
-      (Printf.sprintf
-         "Multi.set_open_loop: %d arrivals for %d remaining requests"
-         (Array.length arrivals) t.remaining.(pid));
-  Array.iteri
-    (fun i a ->
-      if a < 0 || (i > 0 && a < arrivals.(i - 1)) then
-        invalid_arg "Multi.set_open_loop: arrivals must be sorted and >= 0")
-    arrivals;
-  t.arrivals.(pid) <- Some (Array.copy arrivals);
-  t.queue_cap.(pid) <- queue_cap
-
-let drops t pid =
-  check_pid t "drops" pid;
-  t.dropped.(pid)
-
-let latencies_cycles t pid =
-  check_pid t "latencies_cycles" pid;
-  Array.of_list (List.rev t.lat_cycles_rev.(pid))
-
-let core_idle c = c.idle
-
 let switches t = Array.fold_left (fun acc c -> acc + c.switches) 0 t.cores
 
 let system_counters t =
@@ -214,11 +165,12 @@ let dispatch t c pid =
     c.running <- pid
   end
 
-(* Closed-loop quantum body: back-to-back requests, latency = service. *)
-let quantum_closed t c pid =
+(* Back-to-back requests; a request's latency is its service time. *)
+let run_quantum t c pid =
+  dispatch t c pid;
   let counters = Kernel.counters c.kernel in
-  let n = min t.quantum t.remaining.(pid) in
-  for _ = 1 to n do
+  let before = Counters.copy counters in
+  for _ = 1 to min t.quantum t.remaining.(pid) do
     let cycles_before = counters.Counters.cycles in
     t.exec c ~pid ~req:t.next_request.(pid);
     t.next_request.(pid) <- t.next_request.(pid) + 1;
@@ -226,63 +178,7 @@ let quantum_closed t c pid =
     t.lat_us_rev.(pid) <- t.cycles_to_us.(pid) cycles :: t.lat_us_rev.(pid);
     t.remaining.(pid) <- t.remaining.(pid) - 1;
     t.requests_done.(pid) <- t.requests_done.(pid) + 1
-  done
-
-(* Open-loop quantum body: a bounded single-server admission queue fed by
-   the pid's arrival times.  Admission is lazy — arrivals up to the
-   current virtual time are admitted (or dropped when the queue is full)
-   just before each service starts; since the queue only drains at those
-   same points, the occupancy each arrival observes is exactly what a
-   real-time interleaving would have seen.  An empty queue idles the core
-   forward to the next arrival, and latency = queue wait + service. *)
-let quantum_open t c pid arr =
-  let counters = Kernel.counters c.kernel in
-  if t.ol_base.(pid) < 0 then
-    t.ol_base.(pid) <- counters.Counters.cycles + c.idle;
-  let n_arr = Array.length arr in
-  let cap = t.queue_cap.(pid) in
-  let q = t.queue.(pid) in
-  let now () = counters.Counters.cycles + c.idle - t.ol_base.(pid) in
-  let admit () =
-    let t_now = now () in
-    while t.admit_next.(pid) < n_arr && arr.(t.admit_next.(pid)) <= t_now do
-      let j = t.admit_next.(pid) in
-      if Queue.length q < cap then Queue.add j q
-      else begin
-        t.dropped.(pid) <- t.dropped.(pid) + 1;
-        t.remaining.(pid) <- t.remaining.(pid) - 1
-      end;
-      t.admit_next.(pid) <- j + 1
-    done
-  in
-  let served = ref 0 in
-  while !served < t.quantum && t.remaining.(pid) > 0 do
-    admit ();
-    if Queue.is_empty q then begin
-      (* remaining > 0 and nothing queued means un-admitted arrivals
-         exist; idle the core forward to the earliest one. *)
-      let next = arr.(t.admit_next.(pid)) in
-      let t_now = now () in
-      if next > t_now then c.idle <- c.idle + (next - t_now);
-      admit ()
-    end;
-    let r = Queue.pop q in
-    t.exec c ~pid ~req:r;
-    let lat = now () - arr.(r) in
-    t.lat_cycles_rev.(pid) <- lat :: t.lat_cycles_rev.(pid);
-    t.lat_us_rev.(pid) <- t.cycles_to_us.(pid) lat :: t.lat_us_rev.(pid);
-    t.remaining.(pid) <- t.remaining.(pid) - 1;
-    t.requests_done.(pid) <- t.requests_done.(pid) + 1;
-    incr served
-  done
-
-let run_quantum t c pid =
-  dispatch t c pid;
-  let counters = Kernel.counters c.kernel in
-  let before = Counters.copy counters in
-  (match t.arrivals.(pid) with
-  | None -> quantum_closed t c pid
-  | Some arr -> quantum_open t c pid arr);
+  done;
   t.quanta.(pid) <- t.quanta.(pid) + 1;
   (* Invalidations an injected fault held back are released at the quantum
      boundary — a delayed message can never outlive the quantum. *)

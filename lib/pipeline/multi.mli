@@ -70,27 +70,6 @@ val latencies_us : t -> int -> float array
 val switches : t -> int
 val system_counters : t -> Counters.t
 
-(** Put [pid] in open-loop serving mode: its requests arrive at the given
-    absolute times (simulated cycles, relative to the core clock at the
-    pid's first quantum; sorted, non-negative) into a FIFO admission
-    queue bounded at [queue_cap].  An arrival that finds the queue full
-    is dropped; an empty queue idles the core forward to the next
-    arrival; a served request's recorded latency is queue wait + service.
-    [arrivals] must have exactly one entry per remaining request.  Call
-    before running.  Raises [Invalid_argument] on a non-positive
-    [queue_cap], unsorted or negative arrivals, or a length mismatch. *)
-val set_open_loop : t -> pid:int -> arrivals:int array -> queue_cap:int -> unit
-
-(** Arrivals dropped so far because [pid]'s admission queue was full. *)
-val drops : t -> int -> int
-
-(** Served-request latencies (queue wait + service) in simulated cycles,
-    serve order; empty for closed-loop pids. *)
-val latencies_cycles : t -> int -> int array
-
-(** Cycles this core has spent idle waiting for open-loop arrivals. *)
-val core_idle : core -> int
-
 (** Make [pid] current on its core: charges a context switch (policy
     flush or ASID retention) when another process was running, then tags
     the kernel with [pid]'s ASID. *)

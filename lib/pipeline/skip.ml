@@ -313,7 +313,7 @@ let on_retire t (ev : Event.t) =
   let kind, target, aux, _taken = Event.pack_branch ev.branch in
   on_retire_packed t ~pc:ev.pc ~size:ev.size ~store ~kind ~target ~aux
 
-(* Snapshot/restore for segmented replay.  The hashtable shadows are
+(* Snapshot/restore, for {!Kernel.snapshot}.  The hashtable shadows are
    captured with [Hashtbl.copy], which preserves bucket structure and
    therefore fold order — [on_remote_store] probes [live_asids] in fold
    order, so a restored controller must fold identically.  [clear_veto] is

@@ -45,14 +45,6 @@ let quanta (p : proc) = Multi.quanta p.m p.pid
 let proc_linked (p : proc) = p.linked
 let proc_process (p : proc) = p.process
 let latencies_us (p : proc) = Multi.latencies_us p.m p.pid
-let latencies_cycles (p : proc) = Multi.latencies_cycles p.m p.pid
-let drops (p : proc) = Multi.drops p.m p.pid
-
-(* Open-loop serving: delegate to the topology, which owns the admission
-   queue, idle clock, and drop accounting. *)
-let set_open_loop t ~pid ~arrivals ~queue_cap =
-  ignore (proc t pid);
-  Multi.set_open_loop t.m ~pid ~arrivals ~queue_cap
 
 let core t i =
   if i < 0 || i >= Multi.n_cores t.m then

@@ -51,13 +51,6 @@ val create :
     defaults to [Enhanced] (the skip hardware present on every core).
     Raises [Invalid_argument] on an empty mix or non-positive sizes. *)
 
-val set_open_loop : t -> pid:int -> arrivals:int array -> queue_cap:int -> unit
-(** Put process [pid] in open-loop serving mode before running: requests
-    arrive at the given simulated-cycle times into a FIFO admission queue
-    bounded at [queue_cap] (overflow arrivals are dropped, an empty queue
-    idles the core to the next arrival), and recorded latency becomes
-    queue wait + service.  See {!Dlink_pipeline.Multi.set_open_loop}. *)
-
 val run : t -> unit
 (** Run every process to completion, interleaving quanta across cores. *)
 
@@ -99,15 +92,7 @@ val proc_counters : proc -> Counters.t
 val requests_done : proc -> int
 val quanta : proc -> int
 val latencies_us : proc -> float array
-(** Per-request latencies in execution order (queue wait + service for
-    open-loop processes, service only otherwise). *)
-
-val latencies_cycles : proc -> int array
-(** Open-loop latencies in simulated cycles; empty for closed-loop
-    processes. *)
-
-val drops : proc -> int
-(** Arrivals dropped at this process's full admission queue. *)
+(** Per-request service latencies in execution order. *)
 
 val proc_linked : proc -> Dlink_linker.Loader.t
 val proc_process : proc -> Process.t

@@ -114,37 +114,3 @@ let buckets t =
       out := (bucket_lo t b, bucket_lo t (b + 1), t.counts.(b)) :: !out
   done;
   !out
-
-(* Merge of two recorders fed consecutive parts of one stream, folded in
-   stream order.  Bucket counts, count, and sum add; extremes combine;
-   the exact windows concatenate in [into]-then-[src] order while the
-   combined count fits [into.small_cap], preserving the exact-quantile
-   path.  Once the combined count exceeds the window, quantiles come from
-   the merged buckets — identical to what one recorder fed the
-   concatenated stream would hold, since bucket assignment depends only
-   on the sample value and the (required-equal) geometry.  Quantile error
-   therefore keeps the single-recorder bound: one geometric bucket,
-   10^(1/bins_per_decade). *)
-let merge ~into src =
-  if
-    into.lo <> src.lo
-    || into.bins_per_decade <> src.bins_per_decade
-    || into.n_buckets <> src.n_buckets
-    || into.small_cap <> src.small_cap
-  then invalid_arg "Latency.merge: geometry mismatch";
-  (* With equal caps, an incomplete exact window can only arise when the
-     merged count already exceeds [small_cap] — where quantiles use the
-     buckets — so the exact path below [small_cap] combined samples stays
-     sound. *)
-  (* Samples of [src]'s exact window that still fit [into]'s. *)
-  let keep = min src.count src.small_cap in
-  let room = into.small_cap - into.count in
-  if keep > 0 && room > 0 then
-    Array.blit src.small 0 into.small into.count (min keep room);
-  for b = 0 to into.n_buckets - 1 do
-    into.counts.(b) <- into.counts.(b) + src.counts.(b)
-  done;
-  into.count <- into.count + src.count;
-  into.sum <- into.sum +. src.sum;
-  if src.min_v < into.min_v then into.min_v <- src.min_v;
-  if src.max_v > into.max_v then into.max_v <- src.max_v

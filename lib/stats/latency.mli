@@ -35,13 +35,3 @@ val max_value : t -> float
 val buckets : t -> (float * float * int) list
 (** Non-empty buckets as [(lo, hi, count)], ascending — the latency
     histogram exported by [dlinksim serve --json]. *)
-
-val merge : into:t -> t -> unit
-(** Fold [src]'s samples into [into], as if [into] had recorded the
-    concatenation of both streams: bucket counts, count and sum add,
-    extremes combine, and the exact sample windows concatenate while the
-    combined count fits [small_cap] — so quantiles stay {e exact} below
-    [small_cap] combined samples and keep the single-recorder one-bucket
-    bound ([10^(1/bins_per_decade)]) beyond it.  Both recorders must share
-    geometry ([lo], [bins_per_decade], bucket count, [small_cap]); raises
-    [Invalid_argument] otherwise.  [src] is not modified. *)

@@ -258,12 +258,12 @@ let iter f t =
    [Bigarray.Array1.blit] (flat off-heap memcpy, no per-slot work), the
    values array with [Array.blit] (entries are immutable payloads), and the
    scalar clocks by value.  A snapshot is only meaningful for a table of
-   the same geometry — the segmented replay driver restores into a table
-   built by the same [Uarch.Config], so dims always match; the check is a
-   cheap guard against driver bugs.  [tag_floors] is copied on both sides:
-   the live table may grow (and therefore replace) its array after the
-   snapshot was taken, and a restored table must not alias the snapshot's
-   copy, which may be restored into several segment workers. *)
+   the same geometry — [Sim.restore] restores into a table built by the
+   same [Uarch.Config], so dims always match; the check is a cheap guard
+   against driver bugs.  [tag_floors] is copied on both sides: the live
+   table may grow (and therefore replace) its array after the snapshot
+   was taken, and a restored table must not alias the snapshot's copy,
+   which may be restored into several tables. *)
 
 type 'v snap = {
   s_keys : ints;

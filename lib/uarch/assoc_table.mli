@@ -86,7 +86,7 @@ val restore : 'v t -> 'v snap -> unit
 (** Overwrite [t] with the snapshot's state.  The target must have the
     same geometry (sets x ways) as the snapshotted table; raises
     [Invalid_argument] otherwise.  A snapshot may be restored into many
-    tables (segment workers) without aliasing. *)
+    tables without aliasing. *)
 
 val fingerprint : ?hash_value:('v -> int) -> 'v t -> int
 (** Deterministic digest of the observable contents (valid keys, tags,

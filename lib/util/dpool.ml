@@ -1,16 +1,27 @@
 (* Shared-memory domain pool.  OCaml 5 domains run OCaml code truly in
-   parallel within one process, so — unlike the [Parallel] fork pool —
-   workers share the parent's heap directly: no [Marshal], no pipes, no
-   copy-on-write divergence, and results may contain closures or custom
-   blocks.  Work distribution is stealing over a single atomic cursor:
-   each domain repeatedly claims the next unclaimed item index, so a slow
-   cell never stalls its stride-mates the way the fork pool's static
-   striding can.  Every item writes its result (or error) into its own
-   slot of a shared array — one writer per slot, no locks — and the
-   calling domain merges by index after [Domain.join], so the output
-   order is deterministic and identical to the sequential map. *)
+   parallel within one process, so workers share the parent's heap
+   directly: no [Marshal], no pipes, and results may contain closures or
+   custom blocks.  Work distribution is stealing over a single atomic
+   cursor: each domain repeatedly claims the next unclaimed item index,
+   so a slow cell never stalls the others.  Every item writes its result
+   (or error) into its own slot of a shared array — one writer per slot,
+   no locks — and the calling domain merges by index after
+   [Domain.join], so the output order is deterministic and identical to
+   the sequential map. *)
 
-let default_jobs = Parallel.default_jobs
+let default_jobs () =
+  match Sys.getenv_opt "DLINK_JOBS" with
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some n when n > 0 -> n
+      | _ ->
+          Printf.eprintf
+            "warning: DLINK_JOBS=%s is not a positive integer; running with 1 \
+             job\n\
+             %!"
+            s;
+          1)
+  | None -> ( try Domain.recommended_domain_count () with _ -> 1)
 
 let map ?(jobs = 1) f items =
   let arr = Array.of_list items in

@@ -14,6 +14,7 @@ open Dlink_linker
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
+let checks = Alcotest.(check string)
 
 let func ?(exported = true) fname body = { Objfile.fname; exported; body }
 
@@ -326,33 +327,61 @@ let test_stable_beats_lazy_resolver_runs () =
   checkb "stable mostly skips it" true (sr * 10 < lr);
   checkb "snapshots actually hit" true (stable_c.Churn.stable_hits > 0);
   checki "no stale snapshot entries" 0 stable_c.Churn.stable_misses;
-  checki "opens balance closes" stable_c.Churn.opens stable_c.Churn.closes
+  checki "opens balance closes" stable_c.Churn.opens stable_c.Churn.closes;
+  checks "lazy cell pinned"
+    "lazy r200 calls=800 churn=144 opens=144 closes=144 rebinds=0 \
+     stable=0/0 | 292447 592209 2 3290 725 0 0 27880 7974 2174 5390 7037 \
+     4535 4535 1780 134 49 0 2649 722 0 0 0 0 0"
+    (Pin.cell lazy_c);
+  checks "stable cell pinned"
+    "stable r200 calls=800 churn=144 opens=144 closes=144 rebinds=0 \
+     stable=808/0 | 237855 414010 2 459 394 0 0 25020 6199 1783 1820 7037 \
+     5265 5265 1760 98 1 0 2747 12 0 0 0 0 0"
+    (Pin.cell stable_c)
 
 let test_run_cell_deterministic () =
   let run () =
-    let c =
-      Churn.run_cell ~link_mode:Mode.Stable_linking ~rate:150 ~calls:300
-        ~seed:11 scen
-    in
-    ( c.Churn.churn_events,
-      c.Churn.counters.C.instructions,
-      c.Churn.counters.C.abtb_clears,
-      c.Churn.counters.C.tramp_skips,
-      c.Churn.stable_hits )
+    Churn.run_cell ~link_mode:Mode.Stable_linking ~rate:150 ~calls:300 ~seed:11
+      scen
   in
-  checkb "bit-identical reruns" true (run () = run ())
+  let c = run () in
+  checks "cell pinned"
+    "stable r150 calls=300 churn=50 opens=50 closes=50 rebinds=0 \
+     stable=270/0 | 90856 203832 2 411 378 0 0 9531 2360 778 815 2649 1882 \
+     1882 755 38 1 0 946 12 0 0 0 0 0"
+    (Pin.cell c);
+  checks "bit-identical reruns" (Pin.cell c) (Pin.cell (run ()))
 
 (* ---------------- churn differential oracle ---------------- *)
 
 let test_churn_oracle_clean_without_faults () =
   List.iter
-    (fun link_mode ->
+    (fun (link_mode, stable_hits, pin) ->
       let r = CO.run ~link_mode ~rate:200 ~ops:400 ~seed:9 scen in
       checkb "churned" true (r.CO.churn_events > 0);
       checki "no mis-skips" 0 r.CO.mis_skips;
       checki "nothing unclassified" 0 r.CO.unclassified;
-      checkb "skips happened" true (r.CO.skips > 0))
-    [ Mode.Lazy_binding; Mode.Eager_binding; Mode.Stable_linking ]
+      checkb "skips happened" true (r.CO.skips > 0);
+      checks "report pinned" pin (Pin.oracle r);
+      checki "stable hits pinned" stable_hits r.CO.stable_hits;
+      checki "no stale snapshot entries" 0 r.CO.stable_misses)
+    [
+      ( Mode.Lazy_binding,
+        0,
+        "ops=400 churn=81 mis=0 lost=1330 unclassified=0 div=0:d41d8cd98f00 \
+         | 151413 427795 60 2027 984 7 21 14280 4196 1283 3168 3500 2060 2060 \
+         1008 73 29 0 1548 432 0 1330 0 0 0" );
+      ( Mode.Eager_binding,
+        0,
+        "ops=400 churn=81 mis=0 lost=946 unclassified=0 div=0:d41d8cd98f00 | \
+         117745 262398 56 451 473 7 12 12580 3129 1070 1036 3500 2464 2464 \
+         1036 54 0 0 1116 0 0 946 0 0 0" );
+      ( Mode.Stable_linking,
+        445,
+        "ops=400 churn=81 mis=0 lost=963 unclassified=0 div=0:d41d8cd98f00 | \
+         120827 303758 60 637 658 7 21 12701 3189 1094 1191 3500 2445 2445 \
+         1021 55 2 0 1595 34 0 963 0 0 0" );
+    ]
 
 let test_churn_oracle_classifies_unload_faults () =
   let plan =
@@ -368,7 +397,31 @@ let test_churn_oracle_classifies_unload_faults () =
   checkb "faults armed and injected" true (r.CO.faults_injected > 0);
   (* Whatever the stale entries cause must be classified: a divergence
      the taxonomy cannot attribute would show up here. *)
-  checki "nothing unclassified" 0 r.CO.unclassified
+  checki "nothing unclassified" 0 r.CO.unclassified;
+  checks "report pinned"
+    "ops=400 churn=95 mis=0 lost=1407 unclassified=0 div=0:d41d8cd98f00 | \
+     154528 434689 60 2183 982 7 21 14355 4341 1337 3457 3449 1920 1920 1047 \
+     86 38 0 1777 482 0 1407 0 0 2"
+    (Pin.oracle r);
+  checki "no snapshots under lazy binding" 0
+    (r.CO.stable_hits + r.CO.stable_misses)
+
+let test_churn_oracle_reference_crash_classified () =
+  (* An unguarded GOT rewrite can send even the reference machine into a
+     function that never returns to its frame.  The bounded-fuel call
+     turns that into unclassified ops instead of an escaping
+     [Process.Fault]. *)
+  let plan =
+    match Dlink_fault.Plan.of_string "seed=5;900:got_rewrite" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let r =
+    CO.run ~plan ~link_mode:Mode.Lazy_binding ~rate:50 ~ops:2000 ~seed:42 scen
+  in
+  checkb "crashed ops counted as unclassified" true (r.CO.unclassified > 0);
+  checki "unclassified ops pinned" 47 r.CO.unclassified;
+  checki "the one fault fired" 1 r.CO.faults_injected
 
 (* ---------------- property tests ---------------- *)
 
@@ -473,6 +526,8 @@ let () =
             test_churn_oracle_clean_without_faults;
           Alcotest.test_case "unload faults classified" `Quick
             test_churn_oracle_classifies_unload_faults;
+          Alcotest.test_case "reference crash classified" `Quick
+            test_churn_oracle_reference_crash_classified;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

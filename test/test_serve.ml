@@ -1,9 +1,8 @@
 (* Serving-stack tests: arrival processes (open and closed loop), the
    push-based queue engine against a naive array reference model, cells
    (live vs replay bit-identity, the execute-once fold against separate
-   single-cell runs, independence from jobs, determinism), the
-   multi-core open-loop topology, and the kernel's request-boundary
-   tap. *)
+   single-cell runs, independence from jobs, determinism), open-loop
+   cells past saturation, and the kernel's request-boundary tap. *)
 
 module Rng = Dlink_util.Rng
 module Arrival = Dlink_util.Arrival
@@ -13,8 +12,6 @@ module Sim = Dlink_core.Sim
 module Serve = Dlink_core.Serve
 module Workload = Dlink_core.Workload
 module Registry = Dlink_workloads.Registry
-module Scheduler = Dlink_sched.Scheduler
-module Policy = Dlink_sched.Policy
 module Kernel = Dlink_pipeline.Kernel
 module Tcache = Dlink_trace.Cache
 module Replay = Dlink_trace.Replay
@@ -599,65 +596,35 @@ let test_boundary_tap_counts () =
   ignore mean_service;
   ignore cfg
 
-(* ---------------- multi-core open loop ---------------- *)
+(* ---------------- open loop past saturation ---------------- *)
 
-let test_multi_open_loop () =
-  let ws = [ wl "synth"; wl "memcached" ] in
-  let requests = 30 in
-  let sched =
-    Scheduler.create ~requests ~policy:Policy.Asid ~quantum:4 ~cores:2 ws
-  in
-  let arr0 = Arrival.times ~seed:1 ~mean_gap:2000.0 ~n:requests Arrival.Poisson in
-  let arr1 =
-    Arrival.times ~seed:2 ~mean_gap:3000.0 ~n:requests Arrival.default_mmpp
-  in
-  Scheduler.set_open_loop sched ~pid:0 ~arrivals:arr0 ~queue_cap:4;
-  Scheduler.set_open_loop sched ~pid:1 ~arrivals:arr1 ~queue_cap:4;
-  Scheduler.run sched;
-  checkb "finished" true (Scheduler.finished sched);
+(* Live cells at twice base capacity with a four-deep queue, under
+   Poisson and MMPP arrivals and every flush policy: each request is
+   served or dropped, drops appear, and every served request has one
+   positive latency. *)
+let test_open_loop_drops () =
+  let w = wl "synth" in
+  let mean_service = Serve.calibrate_generate ~requests:60 w in
   List.iter
-    (fun p ->
-      let lats = Scheduler.latencies_cycles p in
-      checki "served + dropped = requests" requests
-        (Array.length lats + Scheduler.drops p);
-      Array.iter (fun l -> checkb "latency positive" true (l > 0)) lats)
-    (Scheduler.procs sched)
-
-let test_multi_open_loop_deterministic () =
-  let run () =
-    let ws = [ wl "synth" ] in
-    let sched =
-      Scheduler.create ~requests:25 ~policy:Policy.Flush ~quantum:3 ~cores:1 ws
-    in
-    let arr = Arrival.times ~seed:4 ~mean_gap:1500.0 ~n:25 Arrival.Poisson in
-    Scheduler.set_open_loop sched ~pid:0 ~arrivals:arr ~queue_cap:3;
-    Scheduler.run sched;
-    Scheduler.latencies_cycles (Scheduler.proc sched 0)
-  in
-  checkb "same config, identical open-loop latencies" true (run () = run ())
-
-let test_multi_open_loop_rejects_bad () =
-  let sched =
-    Scheduler.create ~requests:10 ~policy:Policy.Asid ~quantum:2 ~cores:1
-      [ wl "synth" ]
-  in
-  (match
-     Scheduler.set_open_loop sched ~pid:0 ~arrivals:[| 0; 1 |] ~queue_cap:4
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "length mismatch should raise");
-  (match
-     Scheduler.set_open_loop sched ~pid:0 ~arrivals:(Array.make 10 0)
-       ~queue_cap:0
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "queue_cap 0 should raise");
-  match
-    Scheduler.set_open_loop sched ~pid:0 ~arrivals:[| 5; 3; 1; 0; 0; 0; 0; 0; 0; 0 |]
-      ~queue_cap:4
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unsorted arrivals should raise"
+    (fun (arrival, flush) ->
+      let cfg =
+        { (mk_cfg ~load:2.0 ~arrival ~flush ()) with Serve.queue_cap = 4 }
+      in
+      let c = Serve.run_cell_generate ~mean_service ~cfg w in
+      let msg = Serve.cell_label c in
+      checki (msg ^ ": served + dropped = requests") 60
+        (c.Serve.served + c.Serve.dropped);
+      checkb (msg ^ ": overload drops") true (c.Serve.dropped > 0);
+      checki (msg ^ ": one latency per served request") c.Serve.served
+        (Array.length c.Serve.lat_cycles);
+      Array.iter
+        (fun l -> checkb (msg ^ ": latency positive") true (l > 0))
+        c.Serve.lat_cycles)
+    [
+      (Arrival.Poisson, Serve.No_flush);
+      (Arrival.default_mmpp, Serve.Flush);
+      (Arrival.default_mmpp, Serve.Asid);
+    ]
 
 let () =
   Alcotest.run "serve"
@@ -704,12 +671,6 @@ let () =
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
       ( "boundaries",
         [ Alcotest.test_case "tap counts" `Quick test_boundary_tap_counts ] );
-      ( "multi open loop",
-        [
-          Alcotest.test_case "serves with drops" `Quick test_multi_open_loop;
-          Alcotest.test_case "deterministic" `Quick
-            test_multi_open_loop_deterministic;
-          Alcotest.test_case "rejects bad args" `Quick
-            test_multi_open_loop_rejects_bad;
-        ] );
+      ( "serve open loop",
+        [ Alcotest.test_case "serves with drops" `Quick test_open_loop_drops ] );
     ]

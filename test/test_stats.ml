@@ -218,87 +218,6 @@ let test_latency_buckets_sum () =
     (fun (lo, hi, _) -> checkb "bucket edges ordered" true (lo < hi))
     (Latency.buckets l)
 
-(* Merging two recorders must be indistinguishable from one recorder fed
-   the concatenated stream. *)
-let test_latency_merge_matches_concat () =
-  let xs =
-    Array.init 40 (fun i -> 0.001 *. float_of_int (1 + (i * 37 mod 97)))
-  in
-  let ys =
-    Array.init 50 (fun i -> 0.002 *. float_of_int (1 + (i * 53 mod 83)))
-  in
-  let a = record_all (Latency.create ()) xs in
-  let b = record_all (Latency.create ()) ys in
-  let one = record_all (record_all (Latency.create ()) xs) ys in
-  Latency.merge ~into:a b;
-  checki "count" (Latency.count one) (Latency.count a);
-  checkf "mean" (Latency.mean one) (Latency.mean a);
-  (* 90 combined samples fit small_cap, so quantiles stay exact — the
-     merged windows hold the same sample multiset. *)
-  List.iter
-    (fun q ->
-      checkb
-        (Printf.sprintf "q%.2f exact" q)
-        true
-        (Latency.quantile one q = Latency.quantile a q))
-    [ 0.0; 0.5; 0.9; 0.99; 1.0 ];
-  checkb "extremes" true
-    (Latency.min_value one = Latency.min_value a
-    && Latency.max_value one = Latency.max_value a);
-  checkb "buckets" true (Latency.buckets one = Latency.buckets a);
-  checkb "src untouched" true (Latency.count b = 50)
-
-let test_latency_merge_large_bucketed () =
-  (* Past small_cap the exact windows are gone; bucket counts must still
-     match the single-recorder run exactly, so quantiles (bucket walk)
-     are bit-identical too. *)
-  let mk () = Latency.create ~small_cap:16 () in
-  let xs =
-    Array.init 300 (fun i -> 0.0005 *. float_of_int (1 + (i * 311 mod 1009)))
-  in
-  let ys =
-    Array.init 200 (fun i -> 0.0007 *. float_of_int (1 + (i * 173 mod 661)))
-  in
-  let a = record_all (mk ()) xs in
-  let b = record_all (mk ()) ys in
-  let one = record_all (record_all (mk ()) xs) ys in
-  Latency.merge ~into:a b;
-  checki "count" 500 (Latency.count a);
-  checkb "buckets identical" true (Latency.buckets one = Latency.buckets a);
-  List.iter
-    (fun q ->
-      checkb
-        (Printf.sprintf "q%.3f bucket-identical" q)
-        true
-        (Latency.quantile one q = Latency.quantile a q))
-    [ 0.5; 0.99; 0.999 ];
-  checkb "extremes" true
-    (Latency.min_value one = Latency.min_value a
-    && Latency.max_value one = Latency.max_value a)
-
-let test_latency_merge_empty () =
-  let a = Latency.create () and b = Latency.create () in
-  Latency.record a 0.5;
-  Latency.merge ~into:a b;
-  checki "empty src is a no-op" 1 (Latency.count a);
-  let c = Latency.create () in
-  Latency.merge ~into:c a;
-  checki "into empty copies" 1 (Latency.count c);
-  checkf "value survives" 0.5 (Latency.quantile c 0.5)
-
-let test_latency_merge_rejects_geometry () =
-  List.iter
-    (fun src ->
-      match Latency.merge ~into:(Latency.create ()) src with
-      | exception Invalid_argument _ -> ()
-      | () -> Alcotest.fail "geometry mismatch should raise")
-    [
-      Latency.create ~lo:1e-2 ();
-      Latency.create ~bins_per_decade:16 ();
-      Latency.create ~decades:5 ();
-      Latency.create ~small_cap:17 ();
-    ]
-
 (* ---------------- Rates ---------------- *)
 
 let test_rates_pki () =
@@ -425,13 +344,6 @@ let () =
           Alcotest.test_case "large-n bucketed" `Quick test_latency_large_bucketed;
           Alcotest.test_case "rejects bad args" `Quick test_latency_rejects_bad;
           Alcotest.test_case "bucket counts sum" `Quick test_latency_buckets_sum;
-          Alcotest.test_case "merge = concat (exact)" `Quick
-            test_latency_merge_matches_concat;
-          Alcotest.test_case "merge = concat (bucketed)" `Quick
-            test_latency_merge_large_bucketed;
-          Alcotest.test_case "merge empty" `Quick test_latency_merge_empty;
-          Alcotest.test_case "merge rejects geometry" `Quick
-            test_latency_merge_rejects_geometry;
         ] );
       ( "rates",
         [

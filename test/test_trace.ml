@@ -1,5 +1,5 @@
 (* Tests for the packed trace subsystem: format round-trips, the trace
-   cache, the parallel map, and the zero-allocation property of the
+   cache, the domain pool, and the zero-allocation property of the
    replay fast path.  The generate/replay golden-equivalence contract
    lives in test_pipeline.ml as one matrix over event source and
    topology. *)
@@ -13,7 +13,6 @@ module Registry = Dlink_workloads.Registry
 module Trace = Dlink_trace.Trace
 module Tcache = Dlink_trace.Cache
 module Replay = Dlink_trace.Replay
-module Parallel = Dlink_util.Parallel
 module Dpool = Dlink_util.Dpool
 module Json = Dlink_util.Json
 
@@ -208,23 +207,7 @@ let test_cache () =
   Tcache.clear ();
   Alcotest.(check int) "clear empties footprint" 0 (Tcache.footprint_bytes ())
 
-(* --- parallel map and atomic json -------------------------------------- *)
-
-let test_parallel_map () =
-  let xs = List.init 37 Fun.id in
-  let f x = (x * x) - 3 in
-  let expect = List.map f xs in
-  Alcotest.(check (list int)) "jobs=1" expect (Parallel.map ~jobs:1 f xs);
-  Alcotest.(check (list int)) "jobs=2" expect (Parallel.map ~jobs:2 f xs);
-  Alcotest.(check (list int)) "jobs=4" expect (Parallel.map ~jobs:4 f xs);
-  Alcotest.(check (list int))
-    "more jobs than items" [ 0; 1; 2 ]
-    (Parallel.map ~jobs:8 Fun.id [ 0; 1; 2 ]);
-  Alcotest.(check (list int)) "empty" [] (Parallel.map ~jobs:3 f []);
-  Alcotest.(check bool) "default_jobs positive" true (Parallel.default_jobs () >= 1);
-  match Parallel.map ~jobs:2 (fun x -> if x = 5 then failwith "boom" else x) xs with
-  | _ -> Alcotest.fail "worker exception should surface as Failure"
-  | exception Failure _ -> ()
+(* --- domain pool and atomic json ---------------------------------------- *)
 
 let test_dpool_map () =
   let xs = List.init 37 Fun.id in
@@ -238,8 +221,7 @@ let test_dpool_map () =
     (Dpool.map ~jobs:8 Fun.id [ 0; 1; 2 ]);
   Alcotest.(check (list int)) "empty" [] (Dpool.map ~jobs:3 f []);
   Alcotest.(check bool) "default_jobs positive" true (Dpool.default_jobs () >= 1);
-  (* Domains share the heap, so — unlike the fork pool — results may be
-     closures. *)
+  (* Domains share the heap, so results may be closures. *)
   let gs = Dpool.map ~jobs:2 (fun x () -> x + 1) xs in
   Alcotest.(check (list int))
     "closures cross domains"
@@ -345,7 +327,6 @@ let () =
       ("cache", [ Alcotest.test_case "keying and prefix" `Quick test_cache ]);
       ( "infra",
         [
-          Alcotest.test_case "parallel map" `Quick test_parallel_map;
           Alcotest.test_case "domain pool map" `Quick test_dpool_map;
           Alcotest.test_case "atomic json" `Quick test_json_atomic;
         ] );
