@@ -112,7 +112,9 @@ let run ?ucfg ?skip_cfg ?plan ?(cores = 1) ?quantum ?policy ~link_mode ~rate
     (* An injected GOT rewrite corrupts the shared architectural state,
        so even the reference can land in a function that never returns
        to this frame; a bounded-fuel crash on either machine makes the
-       op unclassifiable chaos rather than a hang. *)
+       op unclassifiable chaos rather than a hang.  Once the reference
+       has crashed there is nothing to compare against, so the device
+       under test does not run the op at all. *)
     let ref_crashed =
       try
         Process.call ref_p ~fuel:Churn.call_fuel addr;
@@ -120,12 +122,14 @@ let run ?ucfg ?skip_cfg ?plan ?(cores = 1) ?quantum ?policy ~link_mode ~rate
       with Process.Fault _ -> true
     in
     let crashed =
+      ref_crashed
+      ||
       try
         Process.call dut_p ~fuel:Churn.call_fuel addr;
         false
       with Process.Fault _ | Skip.Misspeculation _ -> true
     in
-    if ref_crashed || crashed then begin
+    if crashed then begin
       incr unclassified;
       Process.resync_arch dut_p ~from_:ref_p
     end

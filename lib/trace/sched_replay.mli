@@ -55,6 +55,6 @@ val sweep :
   Quantum_sweep.point list
 (** Drop-in replacement for [Quantum_sweep.sweep]: records (or fetches
     from the cache) one trace per workload, then replays every
-    (quantum, policy) combination — in [jobs] forked workers when given,
-    which inherit the warm trace cache copy-on-write.  Point order matches
-    [Quantum_sweep.sweep]. *)
+    (quantum, policy) combination — on [jobs] {!Dlink_util.Dpool} domains
+    when given, which share one heap and so read the one warm trace
+    cache.  Point order matches [Quantum_sweep.sweep]. *)

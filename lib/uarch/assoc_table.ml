@@ -4,7 +4,7 @@ module Site_hash = Dlink_util.Site_hash
    per-set reconciliation stamps and the per-tag clear floors — lives in
    [Bigarray.Array1] int vectors: unboxed, flat, off the OCaml heap (never
    scanned by the GC, safely shareable across domains), and accessed with
-   the [.{i}] operators so the [-O3 -unsafe] release profile compiles each
+   the [.{i}] operators so the release profile's [-unsafe] compiles each
    access to a single unchecked load/store.  Values keep a plain ['v array]:
    the payload is polymorphic (ints for BTB/TLB/cache tags, records for the
    ABTB) and validity is carried by the companion [keys] vector (-1 = never
@@ -123,16 +123,22 @@ let reconcile_all t =
 
 (* The scans are top-level functions rather than local closures: a local
    [let rec] capturing its environment is heap-allocated per call, which
-   would put ~7 words on every cache/TLB/BTB access of the replay loop. *)
-let rec scan_slot (keys : ints) (tags : ints) base ways w key tag =
-  if w >= ways then -1
-  else if keys.{base + w} = key && tags.{base + w} = tag then base + w
-  else scan_slot keys tags base ways (w + 1) key tag
+   would put ~7 words on every cache/TLB/BTB access of the replay loop.
+   The lookup scan is a [while] loop, which compiles to two taken
+   branches per mismatched way where the tail-recursive form took three;
+   a 256-way ABTB lookup spends most of its time in this loop. *)
+let scan_slot (keys : ints) (tags : ints) base ways key tag =
+  let last = base + ways in
+  let i = ref base in
+  while !i < last && not (keys.{!i} = key && tags.{!i} = tag) do
+    incr i
+  done;
+  if !i < last then !i else -1
 
 let find_slot t key tag =
   let s = set_of t key in
   if t.seen_clock.{s} <> t.clock then reconcile_set t s;
-  scan_slot t.keys t.tags (s * t.ways) t.ways 0 key tag
+  scan_slot t.keys t.tags (s * t.ways) t.ways key tag
 
 let find t ?(tag = 0) key =
   let i = find_slot t key tag in
@@ -179,27 +185,34 @@ let victim_slot t key =
   let i = first_invalid t base t.ways 0 in
   if i >= 0 then i else lru_slot t.stamps base t.ways 1 base
 
-let insert_slot t tag key v =
-  let i = find_slot t key tag in
-  let i = if i >= 0 then i else victim_slot t key in
+let fill_slot t i tag key v =
   t.keys.{i} <- key;
   t.tags.{i} <- tag;
   t.values.(i) <- v;
   t.stamps.{i} <- next_tick t;
   t.epochs.{i} <- t.clock
 
-let insert t ~tag key v = insert_slot t tag key v
+let insert t ~tag key v =
+  let i = find_slot t key tag in
+  fill_slot t (if i >= 0 then i else victim_slot t key) tag key v
 
-let touch t ~tag key v =
+let restamp t i = t.stamps.{i} <- next_tick t
+
+(* One set scan: a miss leaves the set exactly as [find_slot] found it, so
+   the victim is chosen without scanning for the key a second time. *)
+let touch_slot t ~tag key v =
   let i = find_slot t key tag in
   if i >= 0 then begin
-    t.stamps.{i} <- next_tick t;
-    true
+    restamp t i;
+    i
   end
   else begin
-    insert_slot t tag key v;
-    false
+    let i = victim_slot t key in
+    fill_slot t i tag key v;
+    lnot i
   end
+
+let touch t ~tag key v = touch_slot t ~tag key v >= 0
 
 let grow_tag_floors t tag =
   let n = Bigarray.Array1.dim t.tag_floors in

@@ -59,6 +59,17 @@ val touch : 'v t -> tag:int -> int -> 'v -> bool
     cache/TLB access pattern.  [tag] is mandatory for the same
     allocation-freedom reason as {!find_default}. *)
 
+val touch_slot : 'v t -> tag:int -> int -> 'v -> int
+(** {!touch} that also names the slot: the slot index [i] on a hit, and
+    [lnot i] (negative) when the value was filled into slot [i].
+    [touch t ~tag k v] is [touch_slot t ~tag k v >= 0]. *)
+
+val restamp : 'v t -> int -> unit
+(** [restamp t i] makes slot [i] the most recently used, exactly as a hit
+    on it would, without scanning its set.  The caller must know that [i]
+    still holds the entry it hit or filled: nothing but restamps has
+    touched [t] since the {!touch_slot} that returned [i]. *)
+
 val clear : ?tag:int -> 'v t -> unit
 (** [clear t] invalidates everything; [clear ~tag t] only the entries of
     one address space.  Both are O(1) epoch bumps (for non-negative tags;

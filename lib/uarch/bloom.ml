@@ -8,7 +8,7 @@ open Dlink_isa
    an O(bits) fill.  Stale words are lazily re-zeroed by the first
    [set_bit] that lands in them.  Bigarray storage keeps the field unboxed,
    flat and off the OCaml heap, and the [.{i}] accesses compile to
-   unchecked loads under the [-O3 -unsafe] release profile. *)
+   unchecked loads under the release profile's [-unsafe]. *)
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -12,7 +12,9 @@ let create ~name ~size_bytes ~ways =
 let name t = t.cname
 let size_bytes t = t.size_bytes
 let ways t = Assoc_table.ways t.table
-let access t a = Assoc_table.touch t.table ~tag:0 (Addr.line_of a) ()
+let access_slot t a = Assoc_table.touch_slot t.table ~tag:0 (Addr.line_of a) ()
+let access t a = access_slot t a >= 0
+let restamp t i = Assoc_table.restamp t.table i
 let present t a = Assoc_table.probe t.table (Addr.line_of a) <> None
 let flush t = Assoc_table.clear t.table
 let lines_valid t = Assoc_table.valid_count t.table

@@ -15,6 +15,14 @@ val ways : t -> int
 val access : t -> Addr.t -> bool
 (** [true] on hit; on miss the line is filled (LRU victim evicted). *)
 
+val access_slot : t -> Addr.t -> int
+(** {!access} naming the line's slot: [i] on a hit, [lnot i] on a fill
+    (see {!Assoc_table.touch_slot}). *)
+
+val restamp : t -> int -> unit
+(** Refresh a slot returned by {!access_slot} as a hit on it would; valid
+    only while no other access or flush of [t] came between. *)
+
 val present : t -> Addr.t -> bool
 (** Non-intrusive line probe. *)
 

@@ -13,7 +13,18 @@ type t = {
   ras : Ras.t;
   c : Counters.t;
   mutable asid : int; (* tag applied to TLB fills/lookups; 0 = untagged *)
+  (* Fetch memo: the line and page of the last fetch and the L1I and ITLB
+     slots they occupy.  Only [ifetch] touches those two tables, so the
+     slots still hold that line and page until a flush, an ASID change or
+     a restore, each of which forgets the memo. *)
+  mutable last_line : int; (* [no_memo] when forgotten *)
+  mutable last_page : int;
+  mutable line_slot : int;
+  mutable page_slot : int;
 }
+
+(* No address maps to it: [Addr.line_of] and [Addr.page_of] divide. *)
+let no_memo = min_int
 
 let create (cfg : Config.t) =
   {
@@ -30,17 +41,24 @@ let create (cfg : Config.t) =
     ras = Ras.create ~depth:cfg.ras_depth;
     c = Counters.create ();
     asid = 0;
+    last_line = no_memo;
+    last_page = no_memo;
+    line_slot = 0;
+    page_slot = 0;
   }
+
+let forget_fetch t =
+  t.last_line <- no_memo;
+  t.last_page <- no_memo
 
 let config t = t.cfg
 let counters t = t.c
 let asid t = t.asid
-let set_asid t asid = t.asid <- asid
-let icache t = t.ic
-let dcache t = t.dc
-let l2 t = t.l2c
-let itlb t = t.it
-let dtlb t = t.dt
+
+let set_asid t asid =
+  t.asid <- asid;
+  forget_fetch t
+
 let btb_update t pc target = Btb.update t.btb pc target
 let btb_predict t pc = Btb.predict t.btb pc
 let btb_predict_raw t pc = Btb.predict_default t.btb pc
@@ -54,18 +72,49 @@ let miss_cost t addr ~l2_counts =
     t.cfg.penalties.l2_miss
   end
 
+(* A fetch in the memo's line hits both tables, and one in its page hits
+   the ITLB: restamping the remembered slot is what that hit does, so
+   every stamp, tick, counter and victim stays as the full lookup leaves
+   it.  Same line implies same page (a page holds 64 lines). *)
 let ifetch t pc =
-  let cycles =
-    if Tlb.access ~asid:t.asid t.it pc then 0
-    else begin
-      t.c.itlb_misses <- t.c.itlb_misses + 1;
-      t.cfg.penalties.tlb_miss
-    end
-  in
-  if Cache.access t.ic pc then cycles
+  let line = Addr.line_of pc in
+  if line = t.last_line then begin
+    Tlb.restamp t.it t.page_slot;
+    Cache.restamp t.ic t.line_slot;
+    0
+  end
   else begin
-    t.c.icache_misses <- t.c.icache_misses + 1;
-    cycles + miss_cost t pc ~l2_counts:true
+    let page = Addr.page_of pc in
+    let cycles =
+      if page = t.last_page then begin
+        Tlb.restamp t.it t.page_slot;
+        0
+      end
+      else begin
+        let s = Tlb.access_slot ~asid:t.asid t.it pc in
+        t.last_page <- page;
+        if s >= 0 then begin
+          t.page_slot <- s;
+          0
+        end
+        else begin
+          t.page_slot <- lnot s;
+          t.c.itlb_misses <- t.c.itlb_misses + 1;
+          t.cfg.penalties.tlb_miss
+        end
+      end
+    in
+    let s = Cache.access_slot t.ic pc in
+    t.last_line <- line;
+    if s >= 0 then begin
+      t.line_slot <- s;
+      cycles
+    end
+    else begin
+      t.line_slot <- lnot s;
+      t.c.icache_misses <- t.c.icache_misses + 1;
+      cycles + miss_cost t pc ~l2_counts:true
+    end
   end
 
 let data_access t addr =
@@ -212,7 +261,8 @@ let restore t s =
   Direction.restore t.dir s.s_dir;
   Ras.restore t.ras s.s_ras;
   Counters.assign ~into:t.c s.s_c;
-  t.asid <- s.s_asid
+  t.asid <- s.s_asid;
+  forget_fetch t
 
 let fingerprint t =
   Hashtbl.hash
@@ -230,6 +280,7 @@ let fingerprint t =
 
 let context_switch ?(flush_predictors = false) ?(flush_caches = false)
     ?(retain_asid = false) t =
+  forget_fetch t;
   (* ASID-tagged TLBs survive the switch: stale entries belong to other
      tags and can never hit, so nothing needs flushing. *)
   if not retain_asid then begin

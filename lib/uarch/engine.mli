@@ -15,7 +15,13 @@
       trampoline-skip mechanism, in which case a stale BTB is a genuine
       mispredict because decode's target is also wrong;
     - indirect branches mispredict whenever the BTB target differs;
-    - returns are predicted by the return address stack. *)
+    - returns are predicted by the return address stack.
+
+    Instruction fetch remembers the L1I and I-TLB slots of the previous
+    fetch's line and page, and a fetch that stays there restamps them
+    instead of scanning their sets.  Only fetch touches those two tables,
+    and {!context_switch}, {!set_asid} and {!restore} forget the memo, so
+    every table state and counter equals that of full lookups. *)
 
 open Dlink_isa
 open Dlink_mach
@@ -66,12 +72,6 @@ val context_switch :
     entries from other address spaces cannot hit, so retention is safe);
     predictors and caches flush optionally (physically-tagged caches
     survive a switch on real hardware). *)
-
-val icache : t -> Cache.t
-val dcache : t -> Cache.t
-val l2 : t -> Cache.t
-val itlb : t -> Tlb.t
-val dtlb : t -> Tlb.t
 
 type snap
 (** Frozen copy of every modeled structure, the counters, and the ASID. *)

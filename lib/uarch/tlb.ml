@@ -9,7 +9,11 @@ let create ~name ~entries ~ways =
 
 let name t = t.tname
 let entries t = Assoc_table.capacity t.table
-let access t ~asid a = Assoc_table.touch t.table ~tag:asid (Addr.page_of a) ()
+let access_slot t ~asid a =
+  Assoc_table.touch_slot t.table ~tag:asid (Addr.page_of a) ()
+
+let access t ~asid a = access_slot t ~asid a >= 0
+let restamp t i = Assoc_table.restamp t.table i
 let present ?(asid = 0) t a =
   Assoc_table.probe t.table ~tag:asid (Addr.page_of a) <> None
 let flush ?asid t = Assoc_table.clear ?tag:asid t.table

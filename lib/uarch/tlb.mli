@@ -19,6 +19,14 @@ val access : t -> asid:int -> Addr.t -> bool
     argument would box it in [Some] on every access.  Pass [~asid:0] when
     untagged. *)
 
+val access_slot : t -> asid:int -> Addr.t -> int
+(** {!access} naming the page's slot: [i] on a hit, [lnot i] on a fill
+    (see {!Assoc_table.touch_slot}). *)
+
+val restamp : t -> int -> unit
+(** Refresh a slot returned by {!access_slot} as a hit on it would; valid
+    only while no other access or flush of [t] came between. *)
+
 val present : ?asid:int -> t -> Addr.t -> bool
 val flush : ?asid:int -> t -> unit
 (** [flush t] drops everything; [flush ~asid t] one address space only. *)

@@ -724,6 +724,113 @@ let equivalence_qcheck_tests =
           ops);
   ]
 
+(* ---------------- fetch memo ---------------- *)
+
+(* The engine remembers the line and page of its last fetch and skips the
+   ITLB and L1I set scans while fetches stay there.  These sequences drive
+   two engines in lock-step: [e] as built, and a reference [r] whose memo
+   is forgotten before every call, so it takes the full lookups each time.
+   Counters and the fingerprint (which hashes every raw LRU stamp) must
+   agree after every op. *)
+type memo_op =
+  | Seq of int (* fetch n sequential instructions *)
+  | Line of int (* jump to another line of the current page *)
+  | Alias_line of int (* jump k L1I way-strides: same set, other line *)
+  | Alias_page of int (* jump k ITLB way-strides: same set, other page *)
+  | Home of int (* jump back to one of a few fixed addresses *)
+  | Data of bool * int (* store or load *)
+  | Switch of bool * bool * bool
+  | Asid of int
+  | Snap
+  | Restore
+
+let memo_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun n -> Seq n) (int_range 1 24));
+        (3, map (fun k -> Line k) (int_range 0 63));
+        (2, map (fun k -> Alias_line k) (int_range 1 3));
+        (2, map (fun k -> Alias_page k) (int_range 1 5));
+        (2, map (fun k -> Home k) (int_range 0 7));
+        (3, map2 (fun st a -> Data (st, a)) bool (int_range 0 0x7ffff));
+        (1, map3 (fun p c a -> Switch (p, c, a)) bool bool bool);
+        (1, map (fun a -> Asid a) (int_range 0 3));
+        (1, return Snap);
+        (1, return Restore);
+      ])
+
+let memo_op_print = function
+  | Seq n -> Printf.sprintf "seq %d" n
+  | Line k -> Printf.sprintf "line %d" k
+  | Alias_line k -> Printf.sprintf "alias_line %d" k
+  | Alias_page k -> Printf.sprintf "alias_page %d" k
+  | Home k -> Printf.sprintf "home %d" k
+  | Data (st, a) -> Printf.sprintf "%s 0x%x" (if st then "store" else "load") a
+  | Switch (p, c, a) ->
+      Printf.sprintf "switch predictors=%b caches=%b retain_asid=%b" p c a
+  | Asid a -> Printf.sprintf "asid %d" a
+  | Snap -> "snapshot"
+  | Restore -> "restore"
+
+let fetch_memo_agrees (cfg : Config.t) ops =
+  let e = Engine.create cfg and r = Engine.create cfg in
+  let line_stride = cfg.Config.l1i.size_bytes / cfg.Config.l1i.ways in
+  let page_stride = cfg.Config.itlb.entries / cfg.Config.itlb.ways * 4096 in
+  let pc = ref 0x40_0000 in
+  let snaps = ref None in
+  let both f =
+    f e;
+    (* Setting the reference's ASID to the one it has forgets its fetch
+       memo and changes nothing else: its next fetch scans both tables. *)
+    Engine.set_asid r (Engine.asid r);
+    f r
+  in
+  let retire ev = both (fun x -> Engine.retire x ev) in
+  let fetch a =
+    pc := a;
+    retire (plain_event a)
+  in
+  let page_base a = a land lnot 4095 in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Seq n ->
+          for _ = 1 to n do
+            fetch (!pc + 4)
+          done
+      | Line k -> fetch (page_base !pc + (k * 64) + (!pc land 63))
+      | Alias_line k -> fetch (!pc + (k * line_stride))
+      | Alias_page k -> fetch (!pc + (k * page_stride))
+      | Home k -> fetch (0x40_0000 + (k * 0x1040))
+      | Data (true, a) -> retire (plain_event ~store:a !pc)
+      | Data (false, a) -> retire (plain_event ~load:a !pc)
+      | Switch (flush_predictors, flush_caches, retain_asid) ->
+          both
+            (Engine.context_switch ~flush_predictors ~flush_caches
+               ~retain_asid)
+      | Asid a -> both (fun x -> Engine.set_asid x a)
+      | Snap -> snaps := Some (Engine.snapshot e, Engine.snapshot r)
+      | Restore -> (
+          match !snaps with
+          | Some (se, sr) ->
+              Engine.restore e se;
+              Engine.restore r sr
+          | None -> ()));
+      Engine.counters e = Engine.counters r
+      && Engine.fingerprint e = Engine.fingerprint r)
+    ops
+
+let memo_qcheck_tests =
+  List.map
+    (fun (name, cfg) ->
+      QCheck.Test.make ~name:("exact on " ^ name) ~count:300
+        (QCheck.make
+           ~print:(fun ops -> String.concat "; " (List.map memo_op_print ops))
+           QCheck.Gen.(list_size (int_range 1 60) memo_op_gen))
+        (fetch_memo_agrees cfg))
+    [ ("small", Config.small); ("xeon_e5450", Config.xeon_e5450) ]
+
 (* ---------------- property tests ---------------- *)
 
 let qcheck_tests =
@@ -850,4 +957,5 @@ let () =
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
       ( "flash-clear equivalence",
         List.map QCheck_alcotest.to_alcotest equivalence_qcheck_tests );
+      ("fetch memo", List.map QCheck_alcotest.to_alcotest memo_qcheck_tests);
     ]
