@@ -318,11 +318,11 @@ let trace_cmd =
       {
         Dlink_mach.Process.default_hooks with
         on_retire =
-          (fun ev ->
-            if !printed < limit then begin
-              incr printed;
-              Format.printf "%a@." Dlink_mach.Event.pp ev
-            end);
+          Dlink_mach.Event.boxed (fun ev ->
+              if !printed < limit then begin
+                incr printed;
+                Format.printf "%a@." Dlink_mach.Event.pp ev
+              end);
       }
     in
     let p = Dlink_mach.Process.create ~hooks linked in

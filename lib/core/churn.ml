@@ -88,7 +88,10 @@ let make_machine ?ucfg ?skip_cfg ?(with_skip = true) ?(cores = 1)
         Process.on_fetch_call =
           (fun ~pc ~arch_target ->
             per_hooks.(!cur).Process.on_fetch_call ~pc ~arch_target);
-        on_retire = (fun ev -> per_hooks.(!cur).Process.on_retire ev);
+        on_retire =
+          (fun ~pc ~size ~in_plt ~load ~load2 ~store ~kind ~target ~aux ~taken ->
+            per_hooks.(!cur).Process.on_retire ~pc ~size ~in_plt ~load ~load2
+              ~store ~kind ~target ~aux ~taken);
       }
   in
   let process = Process.create ~hooks linked in

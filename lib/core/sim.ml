@@ -44,11 +44,12 @@ let create ?ucfg ?skip_cfg ?aslr_seed ?(record_stream = false)
   in
   let linked = Loader.load_exn ~opts objs in
   let kernel = Kernel.create ?ucfg ?skip_cfg ~with_skip:(mode = Enhanced) () in
-  let is_plt_entry = Loader.is_plt_entry linked in
-  let profile = Profile.create ~record_stream ~is_plt_entry () in
+  let profile = Profile.create ~record_stream () in
   Kernel.set_profile kernel (Some profile);
   let hooks =
-    Kernel.process_hooks kernel ~is_plt_entry ~in_got:(Loader.in_any_got linked)
+    Kernel.process_hooks kernel
+      ~is_plt_entry:(Loader.is_plt_entry linked)
+      ~in_got:(Loader.in_any_got linked)
   in
   let process = Process.create ~hooks linked in
   Kernel.set_read_got kernel (fun slot ->

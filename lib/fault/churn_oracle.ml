@@ -64,7 +64,7 @@ let run ?ucfg ?skip_cfg ?plan ?(cores = 1) ?quantum ?policy ~link_mode ~rate
     {
       Process.on_fetch_call = (fun ~pc:_ ~arch_target -> arch_target);
       on_retire =
-        (fun ev -> Oracle.collector_on_retire ~is_plt_entry ~in_ld_so ref_col ev);
+        Event.boxed (Oracle.collector_on_retire ~is_plt_entry ~in_ld_so ref_col);
     }
   in
   let ref_p = Process.create ~hooks:ref_hooks linked in

@@ -193,7 +193,7 @@ let run ?(ucfg = Config.xeon_e5450) ?skip_cfg ?plan ?requests ?(cooldown = 0)
   let ref_hooks =
     {
       Process.on_fetch_call = (fun ~pc:_ ~arch_target -> arch_target);
-      on_retire = (fun ev -> collector_on_retire ~is_plt_entry ~in_ld_so ref_col ev);
+      on_retire = Event.boxed (collector_on_retire ~is_plt_entry ~in_ld_so ref_col);
     }
   in
   let ref_p = Process.create ~hooks:ref_hooks linked in

@@ -26,6 +26,24 @@ let fetch t a =
   let off = a - t.text.base in
   if off < 0 || off >= Array.length t.code then None else t.code.(off)
 
+(* Zero-sized at address 0: contains, fetches and classifies nothing. *)
+let none =
+  let empty = { base = 0; size = 0 } in
+  {
+    name = "";
+    id = -1;
+    text = empty;
+    plt = empty;
+    got = empty;
+    data = empty;
+    code = [||];
+    funcs = Hashtbl.create 1;
+    plt_entries = Hashtbl.create 1;
+    got_slots = Hashtbl.create 1;
+    reloc_syms = [||];
+    vtables = Hashtbl.create 1;
+  }
+
 let in_code t a = a >= t.text.base && a < t.plt.base + t.plt.size
 let in_plt t a = in_section t.plt a
 let in_got t a = in_section t.got a

@@ -25,6 +25,12 @@ type t = {
       (** vtable name -> base address of its slots in the data segment *)
 }
 
+val none : t
+(** The unmapped image: it contains no address, so {!fetch}, {!in_plt}
+    and {!in_got} answer [None]/[false] for every address.  The
+    allocation-free lookups return it for an address outside every
+    module. *)
+
 val span_end : t -> Addr.t
 (** One past the last mapped byte of the module. *)
 

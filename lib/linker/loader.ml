@@ -455,18 +455,16 @@ let func_addr t ~mname ~fname =
   | None -> None
   | Some img -> Image.func_addr img fname
 
-let is_plt_entry t addr = Hashtbl.mem t.plt_entry_addrs addr
+(* Every entry lies in its own module's PLT, so an address outside the
+   located image's PLT is answered without hashing. *)
+let is_plt_entry t addr =
+  Image.in_plt (Space.locate t.space addr) addr
+  && Hashtbl.mem t.plt_entry_addrs addr
+
 let plt_symbol_at t addr = Hashtbl.find_opt t.plt_entry_addrs addr
 
-let in_any_plt t addr =
-  match Space.image_at t.space addr with
-  | None -> false
-  | Some img -> Image.in_plt img addr
-
-let in_any_got t addr =
-  match Space.image_at t.space addr with
-  | None -> false
-  | Some img -> Image.in_got img addr
+let in_any_plt t addr = Image.in_plt (Space.locate t.space addr) addr
+let in_any_got t addr = Image.in_got (Space.locate t.space addr) addr
 
 (* --- Runtime module mapping (dlopen support; see Dynload) --------------- *)
 

@@ -2,7 +2,7 @@ type t = {
   mutable sorted : Image.t array; (* ascending by text.base *)
   by_id : (int, Image.t) Hashtbl.t;
   by_name : (string, Image.t) Hashtbl.t;
-  mutable memo : Image.t option; (* last successful lookup *)
+  mutable memo : Image.t; (* last successful lookup, or [Image.none] *)
 }
 
 let check_overlaps sorted =
@@ -23,7 +23,7 @@ let create images =
       Hashtbl.replace by_id img.id img;
       Hashtbl.replace by_name img.name img)
     sorted;
-  { sorted; by_id; by_name; memo = None }
+  { sorted; by_id; by_name; memo = Image.none }
 
 let add t (img : Image.t) =
   if Hashtbl.mem t.by_id img.id then
@@ -36,7 +36,7 @@ let add t (img : Image.t) =
   t.sorted <- sorted;
   Hashtbl.replace t.by_id img.id img;
   Hashtbl.replace t.by_name img.name img;
-  t.memo <- None
+  t.memo <- Image.none
 
 let remove t id =
   match Hashtbl.find_opt t.by_id id with
@@ -49,38 +49,35 @@ let remove t id =
              (Array.to_list t.sorted));
       Hashtbl.remove t.by_id id;
       Hashtbl.remove t.by_name img.Image.name;
-      t.memo <- None
+      t.memo <- Image.none
 
 let images t = t.sorted
 
-let image_at t a =
-  match t.memo with
-  | Some img when Image.contains img a -> Some img
-  | _ ->
-      let n = Array.length t.sorted in
-      (* rightmost image whose base <= a *)
-      let rec search lo hi =
-        if lo >= hi then lo - 1
-        else
-          let mid = (lo + hi) / 2 in
-          if t.sorted.(mid).Image.text.base <= a then search (mid + 1) hi
-          else search lo mid
-      in
-      let i = search 0 n in
-      if i < 0 then None
-      else
-        let img = t.sorted.(i) in
-        if Image.contains img a then begin
-          t.memo <- Some img;
-          Some img
-        end
-        else None
+(* Index of the rightmost image in [sorted.(lo..hi-1)] whose base is at
+   most [a], or [lo - 1].  Top-level so a memo miss allocates nothing. *)
+let rec search (sorted : Image.t array) a lo hi =
+  if lo >= hi then lo - 1
+  else
+    let mid = (lo + hi) / 2 in
+    if sorted.(mid).Image.text.base <= a then search sorted a (mid + 1) hi
+    else search sorted a lo mid
 
-let fetch t a =
-  match image_at t a with
-  | None -> None
-  | Some img -> (
-      match Image.fetch img a with Some i -> Some (img, i) | None -> None)
+let locate t a =
+  if Image.contains t.memo a then t.memo
+  else
+    let i = search t.sorted a 0 (Array.length t.sorted) in
+    if i < 0 then Image.none
+    else
+      let img = t.sorted.(i) in
+      if Image.contains img a then begin
+        t.memo <- img;
+        img
+      end
+      else Image.none
+
+let image_at t a =
+  let img = locate t a in
+  if img == Image.none then None else Some img
 
 let image_by_id t id = Hashtbl.find_opt t.by_id id
 let image_by_name t name = Hashtbl.find_opt t.by_name name

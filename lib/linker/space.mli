@@ -18,12 +18,14 @@ val remove : t -> int -> unit
 val images : t -> Image.t array
 (** In ascending base-address order. *)
 
-val image_at : t -> Addr.t -> Image.t option
-(** Image containing the address (binary search with a one-entry memo for
-    the common same-module case). *)
+val locate : t -> Addr.t -> Image.t
+(** Image containing the address, or {!Image.none} when no module maps it
+    (binary search with a one-entry memo for the common same-module case).
+    Allocation-free: the interpreter fetches through it on every
+    instruction. *)
 
-val fetch : t -> Addr.t -> (Image.t * Insn.t) option
-(** Instruction at a PC together with its defining image. *)
+val image_at : t -> Addr.t -> Image.t option
+(** {!locate} as an option. *)
 
 val image_by_id : t -> int -> Image.t option
 val image_by_name : t -> string -> Image.t option

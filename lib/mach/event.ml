@@ -59,6 +59,35 @@ let unpack_branch ~kind ~target ~aux ~taken =
   else if kind = Kind.return then Some (Return { target })
   else invalid_arg (Printf.sprintf "Event.unpack_branch: bad kind %d" kind)
 
+type retire =
+  pc:Addr.t ->
+  size:int ->
+  in_plt:bool ->
+  load:Addr.t ->
+  load2:Addr.t ->
+  store:Addr.t ->
+  kind:int ->
+  target:Addr.t ->
+  aux:Addr.t ->
+  taken:bool ->
+  unit
+
+let opt a = if a = Addr.none then None else Some a
+
+let of_packed ~pc ~size ~in_plt ~load ~load2 ~store ~kind ~target ~aux ~taken =
+  {
+    pc;
+    size;
+    in_plt;
+    load = opt load;
+    load2 = opt load2;
+    store = opt store;
+    branch = unpack_branch ~kind ~target ~aux ~taken;
+  }
+
+let boxed f ~pc ~size ~in_plt ~load ~load2 ~store ~kind ~target ~aux ~taken =
+  f (of_packed ~pc ~size ~in_plt ~load ~load2 ~store ~kind ~target ~aux ~taken)
+
 let branch_target = function
   | Call_direct { target; _ }
   | Call_indirect { target; _ }

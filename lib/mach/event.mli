@@ -58,4 +58,40 @@ val unpack_branch :
     "unredirected" ([arch_target = target]).  Raises [Invalid_argument] on
     an out-of-range kind. *)
 
+type retire =
+  pc:Addr.t ->
+  size:int ->
+  in_plt:bool ->
+  load:Addr.t ->
+  load2:Addr.t ->
+  store:Addr.t ->
+  kind:int ->
+  target:Addr.t ->
+  aux:Addr.t ->
+  taken:bool ->
+  unit
+(** One retired instruction as immediates: the interpreter's retire hook
+    and the operands of the kernel's packed retire.  [load], [load2] and
+    [store] are {!Addr.none} when absent; [kind], [target], [aux] and
+    [taken] are the {!pack_branch} quadruple. *)
+
+val of_packed :
+  pc:Addr.t ->
+  size:int ->
+  in_plt:bool ->
+  load:Addr.t ->
+  load2:Addr.t ->
+  store:Addr.t ->
+  kind:int ->
+  target:Addr.t ->
+  aux:Addr.t ->
+  taken:bool ->
+  t
+(** The event these operands describe. *)
+
+val boxed : (t -> unit) -> retire
+(** Adapter for code that reads events (the [trace] command, reference
+    collectors, tests): builds the event with {!of_packed} per
+    instruction. *)
+
 val pp : Format.formatter -> t -> unit

@@ -2,7 +2,15 @@
 
     The simulator only stores architecturally meaningful data: GOT slots,
     stack words, and store results.  Unwritten locations read as zero.
-    All accesses are 8-byte aligned. *)
+    All accesses are 8-byte aligned.
+
+    Layout: an open-addressed table keyed by word index (linear probing,
+    a power-of-two slot count at most three-quarters full), each slot a
+    key and its value side by side in one [int array].  {!read} and
+    {!write} allocate nothing; only growth does.  A zero write to a
+    present word keeps its slot with value 0, so {!fingerprint} and
+    {!cell_count} skip zero-valued slots: they equal those of a table
+    that removes a word when zero is written to it. *)
 
 open Dlink_isa
 
@@ -23,3 +31,4 @@ val fingerprint : t -> int
     architectural state between base and enhanced runs). *)
 
 val cell_count : t -> int
+(** Number of words holding a non-zero value. *)

@@ -11,11 +11,16 @@ let fault fmt = Printf.ksprintf (fun s -> raise (Fault s)) fmt
 
 type hooks = {
   on_fetch_call : pc:Addr.t -> arch_target:Addr.t -> Addr.t;
-  on_retire : Event.t -> unit;
+  on_retire : Event.retire;
 }
 
 let default_hooks =
-  { on_fetch_call = (fun ~pc:_ ~arch_target -> arch_target); on_retire = ignore }
+  {
+    on_fetch_call = (fun ~pc:_ ~arch_target -> arch_target);
+    on_retire =
+      (fun ~pc:_ ~size:_ ~in_plt:_ ~load:_ ~load2:_ ~store:_ ~kind:_ ~target:_
+           ~aux:_ ~taken:_ -> ());
+  }
 
 type t = {
   linked : Loader.t;
@@ -87,73 +92,87 @@ let stored_value = function
   | Insn.Fixed a -> Site_hash.mix2 a 0
   | Insn.Region { site; base = _; size = _ } -> Site_hash.mix2 site 1
 
-let retire t ev =
+(* Count the instruction, then hand its operands to the hook.  Faults are
+   raised before this, so a faulted instruction is neither counted nor
+   observed. *)
+let retire t ~pc ~size ~in_plt ~load ~load2 ~store ~kind ~target ~aux ~taken
+    =
   t.retired <- t.retired + 1;
-  t.hooks.on_retire ev
+  t.hooks.on_retire ~pc ~size ~in_plt ~load ~load2 ~store ~kind ~target ~aux
+    ~taken
 
+let none = Addr.none
+
+(* One instruction, allocation-free: the fetch locates the image without
+   an option, memory is an int table, and the retire hook takes
+   immediates. *)
 let step t =
-  let img, insn =
-    match Space.fetch t.linked.Loader.space t.pc with
-    | Some pair -> pair
-    | None -> fault "invalid fetch at %s" (Addr.to_hex t.pc)
+  let pc = t.pc in
+  let img = Space.locate t.linked.Loader.space pc in
+  let insn =
+    match Image.fetch img pc with
+    | Some insn -> insn
+    | None -> fault "invalid fetch at %s" (Addr.to_hex pc)
   in
   let size = Insn.byte_size insn in
-  let in_plt = Image.in_plt img t.pc in
-  let pc = t.pc in
-  let event ?load ?load2 ?store ?branch () =
-    { Event.pc; size; in_plt; load; load2; store; branch }
-  in
+  let in_plt = Image.in_plt img pc in
   match insn with
   | Insn.Alu ->
       t.pc <- pc + size;
-      retire t (event ())
+      retire t ~pc ~size ~in_plt ~load:none ~load2:none ~store:none
+        ~kind:Event.Kind.none ~target:none ~aux:none ~taken:false
   | Insn.Load mref ->
       let a = ref_addr t mref in
       ignore (Memory.read t.mem a);
       t.pc <- pc + size;
-      retire t (event ~load:a ())
+      retire t ~pc ~size ~in_plt ~load:a ~load2:none ~store:none
+        ~kind:Event.Kind.none ~target:none ~aux:none ~taken:false
   | Insn.Store mref ->
       let a = ref_addr t mref in
       Memory.write t.mem a (stored_value mref);
       t.pc <- pc + size;
-      retire t (event ~store:a ())
+      retire t ~pc ~size ~in_plt ~load:none ~load2:none ~store:a
+        ~kind:Event.Kind.none ~target:none ~aux:none ~taken:false
   | Insn.Call target ->
       let actual = t.hooks.on_fetch_call ~pc ~arch_target:target in
-      t.sp <- t.sp - 8;
-      Memory.write t.mem t.sp (pc + size);
+      let sp = t.sp - 8 in
+      t.sp <- sp;
+      Memory.write t.mem sp (pc + size);
       t.pc <- actual;
-      retire t
-        (event ~store:t.sp
-           ~branch:(Event.Call_direct { target = actual; arch_target = target })
-           ())
+      retire t ~pc ~size ~in_plt ~load:none ~load2:none ~store:sp
+        ~kind:Event.Kind.call_direct ~target:actual ~aux:target ~taken:false
   | Insn.Call_mem slot ->
       let target = Memory.read t.mem slot in
       if target = 0 then fault "indirect call through null slot %s" (Addr.to_hex slot);
-      t.sp <- t.sp - 8;
-      Memory.write t.mem t.sp (pc + size);
+      let sp = t.sp - 8 in
+      t.sp <- sp;
+      Memory.write t.mem sp (pc + size);
       t.pc <- target;
-      retire t
-        (event ~load:slot ~store:t.sp
-           ~branch:(Event.Call_indirect { target; slot })
-           ())
+      retire t ~pc ~size ~in_plt ~load:slot ~load2:none ~store:sp
+        ~kind:Event.Kind.call_indirect ~target ~aux:slot ~taken:false
   | Insn.Jmp target ->
       t.pc <- target;
-      retire t (event ~branch:(Event.Jump_direct { target }) ())
+      retire t ~pc ~size ~in_plt ~load:none ~load2:none ~store:none
+        ~kind:Event.Kind.jump_direct ~target ~aux:none ~taken:false
   | Insn.Jmp_mem slot ->
       let target = Memory.read t.mem slot in
       if target = 0 then fault "indirect jump through null slot %s" (Addr.to_hex slot);
       t.pc <- target;
-      retire t (event ~load:slot ~branch:(Event.Jump_indirect { target; slot }) ())
+      retire t ~pc ~size ~in_plt ~load:slot ~load2:none ~store:none
+        ~kind:Event.Kind.jump_indirect ~target ~aux:slot ~taken:false
   | Insn.Cond { target; site; p_taken } ->
       let count = bump_site t site in
       let taken = Site_hash.bernoulli ~site ~count ~p:p_taken in
       t.pc <- (if taken then target else pc + size);
-      retire t (event ~branch:(Event.Cond_branch { target; taken }) ())
+      retire t ~pc ~size ~in_plt ~load:none ~load2:none ~store:none
+        ~kind:Event.Kind.cond_branch ~target ~aux:none ~taken
   | Insn.Push_info i ->
-      t.sp <- t.sp - 8;
-      Memory.write t.mem t.sp i;
+      let sp = t.sp - 8 in
+      t.sp <- sp;
+      Memory.write t.mem sp i;
       t.pc <- pc + size;
-      retire t (event ~store:t.sp ())
+      retire t ~pc ~size ~in_plt ~load:none ~load2:none ~store:sp
+        ~kind:Event.Kind.none ~target:none ~aux:none ~taken:false
   | Insn.Resolve ->
       (* Stack (top first): module id pushed by PLT0, then the relocation
          index pushed by the PLT entry.  Both are consumed, the symbol is
@@ -182,19 +201,19 @@ let step t =
       let old_sp = t.sp in
       t.sp <- t.sp + 16;
       t.pc <- target;
-      retire t
-        (event ~load:old_sp ~load2:(old_sp + 8) ~store:slot
-           ~branch:(Event.Jump_resolver { target })
-           ())
+      retire t ~pc ~size ~in_plt ~load:old_sp ~load2:(old_sp + 8) ~store:slot
+        ~kind:Event.Kind.jump_resolver ~target ~aux:none ~taken:false
   | Insn.Ret ->
       let target = Memory.read t.mem t.sp in
       let old_sp = t.sp in
       t.sp <- t.sp + 8;
       t.pc <- target;
-      retire t (event ~load:old_sp ~branch:(Event.Return { target }) ())
+      retire t ~pc ~size ~in_plt ~load:old_sp ~load2:none ~store:none
+        ~kind:Event.Kind.return ~target ~aux:none ~taken:false
   | Insn.Halt ->
       t.pc <- sentinel;
-      retire t (event ())
+      retire t ~pc ~size ~in_plt ~load:none ~load2:none ~store:none
+        ~kind:Event.Kind.none ~target:none ~aux:none ~taken:false
 
 let call t ?(fuel = 50_000_000) addr =
   t.sp <- t.sp - 8;

@@ -1,15 +1,19 @@
 (** The architectural interpreter.
 
-    Executes loaded code instruction by instruction, emitting one
-    {!Event.t} per retired instruction.  Two hooks connect the paper's
-    hardware model:
+    Executes loaded code instruction by instruction, retiring each one as
+    immediates through the {!Event.retire} hook: the operands of the
+    kernel's packed retire, with no event record, option or closure built
+    per instruction.  Two hooks connect the paper's hardware model:
 
     - [on_fetch_call] lets the front-end model redirect a direct call away
       from its architectural target — this is how a trampoline is skipped.
       Redirection must preserve architectural equivalence, which holds for
       PLT trampolines because they compute no architectural state.
     - [on_retire] receives the retire stream (microarchitecture accounting,
-      ABTB population, profiling).
+      ABTB population, profiling).  Absent operands are {!Addr.none}; a
+      direct call passes its encoded destination as [aux] and where
+      control went as [target].  {!Event.boxed} adapts a function of
+      {!Event.t} for code that reads events.
 
     All data-dependent behaviour (conditional branch directions, data access
     addresses and stored values) is a pure function of per-site occurrence
@@ -23,7 +27,7 @@ exception Fault of string
 
 type hooks = {
   on_fetch_call : pc:Addr.t -> arch_target:Addr.t -> Addr.t;
-  on_retire : Event.t -> unit;
+  on_retire : Event.retire;
 }
 
 val default_hooks : hooks
@@ -42,7 +46,10 @@ val retired : t -> int
 (** Total retired instructions so far. *)
 
 val step : t -> unit
-(** Execute one instruction.  Raises {!Fault} on an invalid PC. *)
+(** Execute one instruction.  Raises {!Fault} on an invalid PC, a null
+    indirect slot or a resolver error, before the retire hook runs and
+    before {!retired} counts the instruction.  Allocation-free apart from
+    the hooks, the resolver and the growth of memory and site tables. *)
 
 val call : t -> ?fuel:int -> Addr.t -> unit
 (** [call t addr] runs the function at [addr] to completion (a sentinel

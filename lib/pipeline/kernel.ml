@@ -27,8 +27,9 @@ type t = {
   (* Consulted on every retired GOT store; the multi-core topology points
      this at the coherence bus under the shared-guard policy. *)
   mutable got_sink : (Addr.t -> unit) option;
-  (* Boxed-event tap, generate sources only: the fault oracle's projected
-     control-flow collector hangs here. *)
+  (* Boxed-event tap, interpreter sources only, built per event only while
+     attached: the fault oracle's projected control-flow collector and the
+     soak invariants hang here. *)
   mutable tap : (Event.t -> unit) option;
   (* Request-boundary tap: every driver (generate, replay, multi-process)
      announces the start of each request here with its request-type id.
@@ -114,38 +115,35 @@ let retire_packed t ~pc ~size ~in_plt ~plt_call ~got_store ~load ~load2 ~store
 
 (* Trampoline-call classification shared by the interpreter hooks and the
    trace recorder: a direct call is profile-eligible when its architectural
-   target is a PLT entry (a skipped call still "calls" its trampoline as
-   far as opportunity accounting is concerned); an indirect call when its
-   actual target is. *)
-let plt_call_of ~is_plt_entry (ev : Event.t) =
-  match ev.Event.branch with
-  | Some (Event.Call_direct { arch_target; _ }) -> is_plt_entry arch_target
-  | Some (Event.Call_indirect { target; _ }) -> is_plt_entry target
-  | _ -> false
+   target ([aux]) is a PLT entry (a skipped call still "calls" its
+   trampoline as far as opportunity accounting is concerned); an indirect
+   call when its actual target is. *)
+let is_plt_call ~is_plt_entry ~kind ~target ~aux =
+  if kind = Event.Kind.call_direct then is_plt_entry aux
+  else kind = Event.Kind.call_indirect && is_plt_entry target
 
-let got_store_of ~in_got (ev : Event.t) =
-  match ev.Event.store with Some a -> in_got a | None -> false
-
-let retire_event t ~plt_call ~got_store (ev : Event.t) =
-  let load = match ev.Event.load with Some a -> a | None -> Addr.none in
-  let load2 = match ev.Event.load2 with Some a -> a | None -> Addr.none in
-  let store = match ev.Event.store with Some a -> a | None -> Addr.none in
-  let kind, target, aux, taken = Event.pack_branch ev.Event.branch in
-  retire_packed t ~pc:ev.Event.pc ~size:ev.Event.size ~in_plt:ev.Event.in_plt
-    ~plt_call ~got_store ~load ~load2 ~store ~kind ~target ~aux ~taken;
-  match t.tap with Some f -> f ev | None -> ()
+let is_got_store ~in_got store = store <> Addr.none && in_got store
 
 let fetch_call t ~pc ~arch_target =
   match t.skip with
   | Some s -> Skip.on_fetch_call s ~pc ~arch_target
   | None -> arch_target
 
-(* Interpreter event source: hooks that feed a [Process.t]'s fetch and
-   retire streams through the kernel. *)
+(* Interpreter event source: the process retires packed operands straight
+   into [retire_packed]; an event is built only for an attached tap. *)
 let process_hooks t ~is_plt_entry ~in_got =
-  let on_retire ev =
-    retire_event t ~plt_call:(plt_call_of ~is_plt_entry ev)
-      ~got_store:(got_store_of ~in_got ev) ev
+  let on_retire ~pc ~size ~in_plt ~load ~load2 ~store ~kind ~target ~aux
+      ~taken =
+    retire_packed t ~pc ~size ~in_plt
+      ~plt_call:(is_plt_call ~is_plt_entry ~kind ~target ~aux)
+      ~got_store:(is_got_store ~in_got store)
+      ~load ~load2 ~store ~kind ~target ~aux ~taken;
+    match t.tap with
+    | Some f ->
+        f
+          (Event.of_packed ~pc ~size ~in_plt ~load ~load2 ~store ~kind ~target
+             ~aux ~taken)
+    | None -> ()
   in
   let on_fetch_call ~pc ~arch_target = fetch_call t ~pc ~arch_target in
   { Process.on_fetch_call; on_retire }

@@ -9,7 +9,7 @@
 
     - {b event source} — an interpreter ({!process_hooks} feeding a
       [Process.t]) or a packed-trace cursor ({!replay_request}).  Both
-      funnel into the same monomorphic, allocation-free
+      hand immediates to the same monomorphic, allocation-free
       {!retire_packed}.
     - {b topology} — one kernel for a single process, or one per core
       behind {!Multi} for the ASID-tagged scheduler with a coherence bus.
@@ -49,8 +49,10 @@ val set_profile : t -> Profile.t option -> unit
     policy. *)
 val set_got_sink : t -> (Addr.t -> unit) option -> unit
 
-(** Attach a boxed-event tap (generate sources only); the fault oracle's
-    projected control-flow collector hangs here. *)
+(** Attach a boxed-event tap (interpreter sources only); the fault
+    oracle's projected control-flow collector and the soak invariants
+    hang here.  The interpreter hooks build the {!Event.t} a tap reads
+    only while one is attached, after {!retire_packed}. *)
 val set_tap : t -> (Event.t -> unit) option -> unit
 
 (** Attach a request-boundary tap.  Every driver — generate, packed-trace
@@ -92,16 +94,15 @@ val retire_packed :
   taken:bool ->
   unit
 
-(** Classify a boxed event the way the recorder and interpreter hooks do:
-    a direct call is profile-eligible when its {e architectural} target is
-    a PLT entry, an indirect call when its actual target is. *)
-val plt_call_of : is_plt_entry:(Addr.t -> bool) -> Event.t -> bool
+(** Trampoline-call classification of packed operands, shared by
+    {!process_hooks} and the trace recorder: a direct call is
+    profile-eligible when its {e architectural} target ([aux]) is a PLT
+    entry, an indirect call when its actual [target] is. *)
+val is_plt_call :
+  is_plt_entry:(Addr.t -> bool) -> kind:int -> target:Addr.t -> aux:Addr.t -> bool
 
-val got_store_of : in_got:(Addr.t -> bool) -> Event.t -> bool
-
-(** Boxed-event retire: unpacks onto {!retire_packed}, then feeds the
-    tap. *)
-val retire_event : t -> plt_call:bool -> got_store:bool -> Event.t -> unit
+val is_got_store : in_got:(Addr.t -> bool) -> Addr.t -> bool
+(** Whether a store operand ({!Addr.none} when absent) lands in a GOT. *)
 
 (** Front-end consultation on a fetched direct call: the skip controller's
     redirect decision, or the architectural target when no controller is
@@ -109,8 +110,10 @@ val retire_event : t -> plt_call:bool -> got_store:bool -> Event.t -> unit
 val fetch_call : t -> pc:Addr.t -> arch_target:Addr.t -> Addr.t
 
 (** Interpreter event source: hooks feeding a [Process.t]'s fetch and
-    retire streams through this kernel, classifying against the given
-    loader predicates. *)
+    retire streams through this kernel.  The retire hook classifies the
+    packed operands with {!is_plt_call} and {!is_got_store} against the
+    given loader predicates and calls {!retire_packed}; it builds an
+    {!Event.t} only while a tap is attached ({!set_tap}). *)
 val process_hooks :
   t ->
   is_plt_entry:(Addr.t -> bool) ->

@@ -103,6 +103,7 @@ val on_fetch_call : t -> pc:Addr.t -> arch_target:Addr.t -> Addr.t
     otherwise). *)
 
 val on_retire : t -> Event.t -> unit
+(** {!on_retire_packed} for a boxed event (tests and examples). *)
 
 val on_retire_packed :
   t ->

@@ -117,13 +117,13 @@ module Writer = struct
     (* A request entry is always a control-flow discontinuity; pin it. *)
     w.expect_pc <- no_pc
 
-  let add w ?(plt_call = false) ?(got_store = false) (ev : Event.t) =
+  let add_packed w ~plt_call ~got_store ~pc ~size ~in_plt ~load ~load2 ~store
+      ~kind ~target ~aux ~taken =
     if w.n_requests = 0 then
       invalid_arg "Trace.Writer.add: no request started";
-    if ev.size < 0 || ev.size > 15 then
+    if size < 0 || size > 15 then
       invalid_arg "Trace.Writer.add: size out of range";
-    let kind, target, aux, taken = Event.pack_branch ev.branch in
-    let has_pc = ev.pc <> w.expect_pc in
+    let has_pc = pc <> w.expect_pc in
     let has_aux =
       kind = Event.Kind.call_indirect
       || kind = Event.Kind.jump_indirect
@@ -131,28 +131,35 @@ module Writer = struct
     in
     let info =
       kind
-      lor (if ev.in_plt then m_in_plt else 0)
+      lor (if in_plt then m_in_plt else 0)
       lor (if plt_call then m_plt_call else 0)
       lor (if got_store then m_got_store else 0)
       lor (if taken then m_taken else 0)
-      lor (if ev.load <> None then m_load else 0)
-      lor (if ev.load2 <> None then m_load2 else 0)
-      lor (if ev.store <> None then m_store else 0)
+      lor (if load <> Addr.none then m_load else 0)
+      lor (if load2 <> Addr.none then m_load2 else 0)
+      lor (if store <> Addr.none then m_store else 0)
       lor (if has_aux then m_aux else 0)
       lor (if has_pc then m_pc else 0)
-      lor (ev.size lsl 12)
+      lor (size lsl 12)
     in
     ensure_event w;
     Bytes.set_uint16_le w.info (2 * w.n_events) info;
     w.n_events <- w.n_events + 1;
     ensure_ops w 6;
-    if has_pc then push_op w ev.pc;
-    (match ev.load with Some a -> push_op w a | None -> ());
-    (match ev.load2 with Some a -> push_op w a | None -> ());
-    (match ev.store with Some a -> push_op w a | None -> ());
+    if has_pc then push_op w pc;
+    if load <> Addr.none then push_op w load;
+    if load2 <> Addr.none then push_op w load2;
+    if store <> Addr.none then push_op w store;
     if kind <> Event.Kind.none then push_op w target;
     if has_aux then push_op w aux;
-    w.expect_pc <- next_pc_of ~kind ~pc:ev.pc ~size:ev.size ~target ~taken
+    w.expect_pc <- next_pc_of ~kind ~pc ~size ~target ~taken
+
+  let add w ?(plt_call = false) ?(got_store = false) (ev : Event.t) =
+    let kind, target, aux, taken = Event.pack_branch ev.branch in
+    let addr = function Some a -> a | None -> Addr.none in
+    add_packed w ~plt_call ~got_store ~pc:ev.pc ~size:ev.size ~in_plt:ev.in_plt
+      ~load:(addr ev.load) ~load2:(addr ev.load2) ~store:(addr ev.store) ~kind
+      ~target ~aux ~taken
 
   let finish w ~warmup : trace =
     if warmup < 0 || warmup > w.n_requests then
@@ -258,18 +265,10 @@ module Cursor = struct
   let peek_in_plt c =
     Bytes.get_uint16_le c.trace.info (2 * c.i) land m_in_plt <> 0
 
-  let event c : Event.t =
-    {
-      Event.pc = c.pc;
-      size = c.size;
-      in_plt = c.in_plt;
-      load = (if c.load = Addr.none then None else Some c.load);
-      load2 = (if c.load2 = Addr.none then None else Some c.load2);
-      store = (if c.store = Addr.none then None else Some c.store);
-      branch =
-        Event.unpack_branch ~kind:c.kind ~target:c.target ~aux:c.aux
-          ~taken:c.taken;
-    }
+  let event c =
+    Event.of_packed ~pc:c.pc ~size:c.size ~in_plt:c.in_plt ~load:c.load
+      ~load2:c.load2 ~store:c.store ~kind:c.kind ~target:c.target ~aux:c.aux
+      ~taken:c.taken
 end
 
 (* Reference decoder for tests and debugging: the whole stream back as

@@ -47,12 +47,32 @@ module Writer : sig
   val start_request : t -> rtype:int -> unit
   (** Open the next request; must precede the first {!add}. *)
 
-  val add : t -> ?plt_call:bool -> ?got_store:bool -> Event.t -> unit
-  (** Append one retired event.  [plt_call] marks a profile-eligible
+  val add_packed :
+    t ->
+    plt_call:bool ->
+    got_store:bool ->
+    pc:int ->
+    size:int ->
+    in_plt:bool ->
+    load:int ->
+    load2:int ->
+    store:int ->
+    kind:int ->
+    target:int ->
+    aux:int ->
+    taken:bool ->
+    unit
+  (** Append one retired instruction given as the interpreter's packed
+      retire operands ({!Dlink_mach.Event.retire}; {!Dlink_isa.Addr.none}
+      marks an absent address).  [plt_call] marks a profile-eligible
       library call (direct call whose architectural target, or indirect
       call whose target, is a PLT entry); [got_store] marks a store into a
-      GOT.  Both are precomputed at record time so replay needs no loader.
-      Raises [Invalid_argument] outside a request or for sizes above 15. *)
+      GOT.  Both are precomputed at record time, by the predicates the
+      live retire uses, so replay needs no loader.  Raises
+      [Invalid_argument] outside a request or for sizes above 15. *)
+
+  val add : t -> ?plt_call:bool -> ?got_store:bool -> Event.t -> unit
+  (** {!add_packed} for a boxed event (tests and examples). *)
 
   val finish : t -> warmup:int -> trace
   (** Freeze into a compact trace whose first [warmup] requests are

@@ -2,7 +2,6 @@ module Sim = Dlink_core.Sim
 module Workload = Dlink_core.Workload
 module Loader = Dlink_linker.Loader
 module Process = Dlink_mach.Process
-module Event = Dlink_mach.Event
 module Kernel = Dlink_pipeline.Kernel
 
 (* Base and Enhanced share one architectural stream: Enhanced's redirects
@@ -27,11 +26,12 @@ let record ?aslr_seed ?warmup ?requests ~mode (w : Workload.t) =
      consumes are by construction the bits the unified retire path would
      compute live. *)
   let in_got = Loader.in_any_got linked in
-  let on_retire (ev : Event.t) =
-    Trace.Writer.add writer
-      ~plt_call:(Kernel.plt_call_of ~is_plt_entry ev)
-      ~got_store:(Kernel.got_store_of ~in_got ev)
-      ev
+  let on_retire ~pc ~size ~in_plt ~load ~load2 ~store ~kind ~target ~aux
+      ~taken =
+    Trace.Writer.add_packed writer
+      ~plt_call:(Kernel.is_plt_call ~is_plt_entry ~kind ~target ~aux)
+      ~got_store:(Kernel.is_got_store ~in_got store)
+      ~pc ~size ~in_plt ~load ~load2 ~store ~kind ~target ~aux ~taken
   in
   let hooks =
     { Process.on_fetch_call = (fun ~pc:_ ~arch_target -> arch_target); on_retire }

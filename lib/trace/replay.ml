@@ -61,9 +61,7 @@ let replay ?ucfg ?skip_cfg ?(record_stream = false) ?context_switch_every
     ?(retain_asid = false) ~mode ~requests:n (w : Workload.t) tr =
   check_requests tr n;
   let m = make_machine ?ucfg ?skip_cfg ~mode () in
-  let profile =
-    Profile.create ~record_stream ~is_plt_entry:(fun _ -> false) ()
-  in
+  let profile = Profile.create ~record_stream () in
   let c = Trace.Cursor.create tr in
   let warmup = Trace.warmup tr in
   for r = 0 to warmup - 1 do

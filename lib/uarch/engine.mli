@@ -32,6 +32,7 @@ val create : Config.t -> t
 val config : t -> Config.t
 val counters : t -> Counters.t
 val retire : t -> Event.t -> unit
+(** {!retire_packed} for a boxed event (tests and examples). *)
 
 val retire_packed :
   t ->

@@ -1,6 +1,8 @@
 (* 64-bit finalizer from MurmurHash3, applied to a combination of the two
-   inputs; results are truncated to OCaml's 63-bit non-negative ints. *)
-let mix64 z =
+   inputs; results are truncated to OCaml's 63-bit non-negative ints.
+   Inlined so its [Int64] temporaries stay unboxed in every build: the
+   interpreter hashes every data access and branch with it. *)
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xFF51AFD7ED558CCDL in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xC4CEB9FE1A85EC53L in
   Int64.logxor z (Int64.shift_right_logical z 33)

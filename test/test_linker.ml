@@ -57,7 +57,10 @@ let test_layout_includes_ld_so () =
   let t = load_with Mode.Lazy_binding (two_module ()) in
   checkb "ld_so mapped" true (Space.image_by_name t.Loader.space "__ld_so" <> None);
   checkb "resolver entry fetches" true
-    (Space.fetch t.Loader.space t.Loader.resolver_entry <> None)
+    (Image.fetch
+       (Space.locate t.Loader.space t.Loader.resolver_entry)
+       t.Loader.resolver_entry
+    <> None)
 
 (* ---------------- PLT/GOT ---------------- *)
 

@@ -60,6 +60,158 @@ let test_memory_copy_isolated () =
   Memory.write c 8 9;
   checki "original untouched" 1 (Memory.read m 8)
 
+(* The remove-on-zero hash table [Memory] was before it became an
+   open-addressed word table: the reference model the table must agree
+   with on every read, fingerprint and cell count. *)
+module Ref_memory = struct
+  module Site_hash = Dlink_util.Site_hash
+
+  type t = (int, int) Hashtbl.t
+
+  let word_index a =
+    assert (a land 7 = 0);
+    a lsr 3
+
+  let create () : t = Hashtbl.create 4096
+  let read t a = Option.value ~default:0 (Hashtbl.find_opt t (word_index a))
+
+  let write t a v =
+    let i = word_index a in
+    if v = 0 then Hashtbl.remove t i else Hashtbl.replace t i v
+
+  let copy = Hashtbl.copy
+
+  let blit ~src ~dst =
+    Hashtbl.reset dst;
+    Hashtbl.iter (fun k v -> Hashtbl.replace dst k v) src
+
+  let fingerprint t =
+    Hashtbl.fold (fun k v acc -> acc lxor Site_hash.mix2 k v) t 0
+
+  let cell_count = Hashtbl.length
+end
+
+(* Op streams over two word regions far apart (a data segment and a
+   stack), so probes from both collide in one table.  Every stream holds
+   one sweep of at least 10k distinct words, and the table grows several
+   times on the way. *)
+type mem_op =
+  | Write of int * int  (** word, value (0 erases) *)
+  | Read of int
+  | Burst of int * int * int * int  (** first word, count, stride, seed *)
+  | Copy_diverge of int * int  (** writes to the copy, seed *)
+  | Blit_diverged of int * int
+      (** writes to a copy, seed; the copy is then blitted back *)
+  | Blit_fresh of int * int  (** writes to a fresh table, seed; blitted in *)
+
+let universe = 12_288
+let word_addr w = if w land 1 = 0 then 0x40_0000 + (4 * w) else (1 lsl 36) - (4 * (w - 1))
+
+(* Deterministic value stream: about one value in eight is zero. *)
+let op_value seed i =
+  let v = Dlink_util.Site_hash.mix2 seed i in
+  if v land 7 = 0 then 0 else v
+
+let mem_op_gen =
+  let open QCheck.Gen in
+  let word = int_range 0 (universe - 1) in
+  let small =
+    frequency
+      [
+        (4, map2 (fun w v -> Write (w, if v land 3 = 0 then 0 else v)) word nat);
+        (3, map (fun w -> Read w) word);
+        ( 3,
+          map3
+            (fun w (n, stride) seed -> Burst (w, n, stride, seed))
+            word
+            (pair (int_range 1 1024) (oneofl [ 1; 2; 7 ]))
+            nat );
+        (1, map2 (fun n seed -> Copy_diverge (n, seed)) (int_range 1 512) nat);
+        (1, map2 (fun n seed -> Blit_diverged (n, seed)) (int_range 1 512) nat);
+        (1, map2 (fun n seed -> Blit_fresh (n, seed)) (int_range 0 256) nat);
+      ]
+  in
+  let sweep =
+    map3
+      (fun w n seed -> Burst (w, n, 1, seed))
+      word (int_range 10_000 universe) nat
+  in
+  map3 (fun pre sw post -> pre @ [ sw ] @ post)
+    (list_size (int_range 0 4) small)
+    sweep
+    (list_size (int_range 4 12) small)
+
+let show_mem_op = function
+  | Write (w, v) -> Printf.sprintf "Write(%d,%d)" w v
+  | Read w -> Printf.sprintf "Read %d" w
+  | Burst (w, n, s, seed) -> Printf.sprintf "Burst(%d,%d,%d,%d)" w n s seed
+  | Copy_diverge (n, seed) -> Printf.sprintf "Copy_diverge(%d,%d)" n seed
+  | Blit_diverged (n, seed) -> Printf.sprintf "Blit_diverged(%d,%d)" n seed
+  | Blit_fresh (n, seed) -> Printf.sprintf "Blit_fresh(%d,%d)" n seed
+
+(* Apply [n] seeded writes (some zero, some overwrites) to both tables. *)
+let diverge ~touched n seed m r =
+  for i = 0 to n - 1 do
+    let w = Dlink_util.Site_hash.mix2 seed (-i) mod universe in
+    let v = op_value seed i in
+    Hashtbl.replace touched w ();
+    Memory.write m (word_addr w) v;
+    Ref_memory.write r (word_addr w) v
+  done
+
+let memory_agrees_with_reference ops =
+  let m = Memory.create () and r = Ref_memory.create () in
+  let touched = Hashtbl.create 16384 in
+  let same m r =
+    Memory.cell_count m = Ref_memory.cell_count r
+    && Memory.fingerprint m = Ref_memory.fingerprint r
+    && Hashtbl.fold
+         (fun w () ok ->
+           ok && Memory.read m (word_addr w) = Ref_memory.read r (word_addr w))
+         touched true
+    && Memory.read m (word_addr universe) = 0
+  in
+  List.for_all
+    (fun op ->
+      let ok =
+        match op with
+        | Write (w, v) ->
+            Hashtbl.replace touched w ();
+            Memory.write m (word_addr w) v;
+            Ref_memory.write r (word_addr w) v;
+            true
+        | Read w -> Memory.read m (word_addr w) = Ref_memory.read r (word_addr w)
+        | Burst (w, n, stride, seed) ->
+            for i = 0 to n - 1 do
+              let w = (w + (i * stride)) mod universe in
+              Hashtbl.replace touched w ();
+              Memory.write m (word_addr w) (op_value seed i);
+              Ref_memory.write r (word_addr w) (op_value seed i)
+            done;
+            true
+        | Copy_diverge (n, seed) ->
+            let mc = Memory.copy m and rc = Ref_memory.copy r in
+            diverge ~touched n seed mc rc;
+            same mc rc
+        | Blit_diverged (n, seed) ->
+            let mc = Memory.copy m and rc = Ref_memory.copy r in
+            diverge ~touched n seed mc rc;
+            Memory.blit ~src:mc ~dst:m;
+            Ref_memory.blit ~src:rc ~dst:r;
+            (* the source stays intact and unaliased *)
+            Memory.write mc (word_addr 0) 12345;
+            Ref_memory.write rc (word_addr 0) 12345;
+            same mc rc
+        | Blit_fresh (n, seed) ->
+            let mf = Memory.create () and rf = Ref_memory.create () in
+            diverge ~touched n seed mf rf;
+            Memory.blit ~src:mf ~dst:m;
+            Ref_memory.blit ~src:rf ~dst:r;
+            true
+      in
+      ok && same m r)
+    ops
+
 (* ---------------- interpreter basics ---------------- *)
 
 let test_call_runs_to_completion () =
@@ -92,7 +244,7 @@ let test_resolver_runs_once_per_symbol () =
     {
       Process.default_hooks with
       on_retire =
-        (fun ev ->
+        Event.boxed (fun ev ->
           match ev.Event.branch with
           | Some (Event.Jump_resolver _) -> incr resolver_jumps
           | _ -> ());
@@ -108,7 +260,7 @@ let test_eager_mode_never_resolves () =
     {
       Process.default_hooks with
       on_retire =
-        (fun ev ->
+        Event.boxed (fun ev ->
           match ev.Event.branch with
           | Some (Event.Jump_resolver _) -> incr resolver_jumps
           | _ -> ());
@@ -123,7 +275,7 @@ let test_static_mode_no_plt_events () =
   let hooks =
     {
       Process.default_hooks with
-      on_retire = (fun ev -> if ev.Event.in_plt then incr plt_events);
+      on_retire = Event.boxed (fun ev -> if ev.Event.in_plt then incr plt_events);
     }
   in
   ignore (run_main ~hooks linked);
@@ -136,7 +288,7 @@ let test_lazy_first_call_executes_five_plt_instructions () =
   let hooks =
     {
       Process.default_hooks with
-      on_retire = (fun ev -> if ev.Event.in_plt then incr plt_events);
+      on_retire = Event.boxed (fun ev -> if ev.Event.in_plt then incr plt_events);
     }
   in
   ignore (run_main ~hooks linked);
@@ -150,7 +302,7 @@ let test_lazy_second_call_executes_one_plt_instruction () =
   let hooks =
     {
       Process.default_hooks with
-      on_retire = (fun ev -> if ev.Event.in_plt then incr plt_events);
+      on_retire = Event.boxed (fun ev -> if ev.Event.in_plt then incr plt_events);
     }
   in
   ignore (run_main ~hooks linked);
@@ -321,7 +473,7 @@ let test_call_event_shape () =
     {
       Process.default_hooks with
       on_retire =
-        (fun ev ->
+        Event.boxed (fun ev ->
           match ev.Event.branch with
           | Some (Event.Call_direct { target; arch_target }) when !seen = None ->
               seen := Some (target = arch_target, ev.Event.store <> None)
@@ -342,7 +494,7 @@ let test_trampoline_event_has_got_load () =
     {
       Process.default_hooks with
       on_retire =
-        (fun ev ->
+        Event.boxed (fun ev ->
           match ev.Event.branch with
           | Some (Event.Jump_indirect { slot; _ }) ->
               if ev.Event.load = Some slot then incr got_loads
@@ -356,15 +508,128 @@ let test_event_count_matches_retired () =
   let linked = simple_program () in
   let events = ref 0 in
   let hooks =
-    { Process.default_hooks with on_retire = (fun _ -> incr events) }
+    { Process.default_hooks with on_retire = Event.boxed (fun _ -> incr events) }
   in
   let p = run_main ~hooks linked in
   checki "one event per retired" (Process.retired p) !events
+
+(* ---------------- retire-stream pins ---------------- *)
+
+(* Exact renderings of the boxed retire stream: every field of every
+   event, the branch with all of its addresses.  Each registry workload
+   runs requests 0-2 through a bare interpreter; one more stream comes
+   through the kernel's tap on an Enhanced simulator, whose redirected
+   calls retire with [target <> arch_target]. *)
+
+module Sim = Dlink_core.Sim
+module Workload = Dlink_core.Workload
+module Kernel = Dlink_pipeline.Kernel
+
+let render_event buf (ev : Event.t) =
+  let opt = function None -> "-" | Some a -> Printf.sprintf "%x" a in
+  let branch =
+    match ev.Event.branch with
+    | None -> "-"
+    | Some (Event.Call_direct { target; arch_target }) ->
+        Printf.sprintf "cd:%x:%x" target arch_target
+    | Some (Event.Call_indirect { target; slot }) ->
+        Printf.sprintf "ci:%x:%x" target slot
+    | Some (Event.Jump_direct { target }) -> Printf.sprintf "jd:%x" target
+    | Some (Event.Jump_indirect { target; slot }) ->
+        Printf.sprintf "ji:%x:%x" target slot
+    | Some (Event.Jump_resolver { target }) -> Printf.sprintf "jr:%x" target
+    | Some (Event.Cond_branch { target; taken }) ->
+        Printf.sprintf "cb:%x:%b" target taken
+    | Some (Event.Return { target }) -> Printf.sprintf "rt:%x" target
+  in
+  Printf.bprintf buf "%x %d %b %s %s %s %s\n" ev.Event.pc ev.Event.size
+    ev.Event.in_plt (opt ev.Event.load) (opt ev.Event.load2)
+    (opt ev.Event.store) branch
+
+let stream_pin buf n =
+  Printf.sprintf "%d:%s" n (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let registry_workload name =
+  (Option.get (Dlink_workloads.Registry.find name)) ()
+
+let interpreter_stream name =
+  let w = registry_workload name in
+  let linked =
+    Loader.load_exn
+      ~opts:{ Loader.default_options with func_align = w.Workload.func_align }
+      w.Workload.objs
+  in
+  let buf = Buffer.create (1 lsl 20) and n = ref 0 in
+  let hooks =
+    {
+      Process.default_hooks with
+      on_retire =
+        Event.boxed (fun ev ->
+          incr n;
+          render_event buf ev);
+    }
+  in
+  let p = Process.create ~hooks linked in
+  for i = 0 to 2 do
+    let req = w.Workload.gen_request i in
+    Process.call p
+      (Option.get
+         (Loader.func_addr linked ~mname:req.Workload.mname
+            ~fname:req.Workload.fname))
+  done;
+  stream_pin buf !n
+
+let stream_pins =
+  [
+    ("apache", "48916:f9f3c298d5901491628bf4b720883346");
+    ("memcached", "50017:15cb977f3108add2fe10faf090d5c6ce");
+    ("mysql", "318642:0314e25cda0501e439cac298cec7b6fd");
+    ("firefox", "402046:4c7cc423ced4707634ae959eb2775874");
+    ("synth", "2516:a6292cdbb247d6737cf33153e3b44c18");
+    ("churn", "2200:6e5c3ccbf4b8133f091c1b12bb37d77b");
+  ]
+
+let test_stream_pins () =
+  List.iter
+    (fun (name, pin) ->
+      Alcotest.(check string) name pin (interpreter_stream name))
+    stream_pins
+
+let test_tap_stream_pin () =
+  let w = registry_workload "memcached" in
+  let sim =
+    Sim.create ~func_align:w.Workload.func_align ~mode:Sim.Enhanced
+      w.Workload.objs
+  in
+  let buf = Buffer.create (1 lsl 20) and n = ref 0 and redirected = ref 0 in
+  Kernel.set_tap (Sim.kernel sim)
+    (Some
+       (fun ev ->
+         incr n;
+         (match ev.Event.branch with
+         | Some (Event.Call_direct { target; arch_target })
+           when target <> arch_target ->
+             incr redirected
+         | _ -> ());
+         render_event buf ev));
+  for i = 0 to 2 do
+    let req = w.Workload.gen_request i in
+    Sim.call sim ~mname:req.Workload.mname ~fname:req.Workload.fname
+  done;
+  checki "redirected calls" 35 !redirected;
+  Alcotest.(check string)
+    "tap stream" "49982:7aa554f18906a518628a42f723530dca" (stream_pin buf !n)
 
 (* ---------------- property tests ---------------- *)
 
 let qcheck_tests =
   [
+    QCheck.Test.make ~name:"memory agrees with the hash-table reference"
+      ~count:200
+      (QCheck.make
+         ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+         mem_op_gen)
+      memory_agrees_with_reference;
     QCheck.Test.make ~name:"region accesses stay within the region" ~count:50
       (QCheck.int_range 1 1000)
       (fun seed ->
@@ -390,7 +655,7 @@ let qcheck_tests =
           {
             Process.default_hooks with
             on_retire =
-              (fun ev ->
+              Event.boxed (fun ev ->
                 let in_data a =
                   a >= img.Image.data.base
                   && a < img.Image.data.base + img.Image.data.size
@@ -415,7 +680,9 @@ let qcheck_tests =
         let linked = simple_program () in
         let p1 = run_main linked in
         let p2 =
-          run_main ~hooks:{ Process.default_hooks with on_retire = ignore } linked
+          run_main
+            ~hooks:{ Process.default_hooks with on_retire = Event.boxed ignore }
+            linked
         in
         Process.arch_fingerprint p1 = Process.arch_fingerprint p2);
   ]
@@ -467,6 +734,11 @@ let () =
           Alcotest.test_case "call event shape" `Quick test_call_event_shape;
           Alcotest.test_case "trampoline GOT load" `Quick test_trampoline_event_has_got_load;
           Alcotest.test_case "event per retired" `Quick test_event_count_matches_retired;
+        ] );
+      ( "stream pins",
+        [
+          Alcotest.test_case "interpreter streams" `Quick test_stream_pins;
+          Alcotest.test_case "enhanced tap stream" `Quick test_tap_stream_pin;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -200,6 +200,49 @@ let test_multi_sweep () =
           (Policy.to_string a.policy))
     real rep
 
+(* --- cycle identity ------------------------------------------------------ *)
+
+(* [Counters.cycles] has two writers, the engine's retire and the
+   kernel's stale-prediction charge, and each charges one penalty per
+   counted event.  So every cycle is one of the six terms below, exactly,
+   in every cell. *)
+let cycle_identity msg (p : Dlink_uarch.Config.penalties) (c : Counters.t) =
+  let open Counters in
+  let expected =
+    c.instructions
+    + (p.tlb_miss * (c.itlb_misses + c.dtlb_misses))
+    + (p.l1_miss * (c.icache_misses + c.dcache_misses - c.l2_misses))
+    + (p.l2_miss * c.l2_misses)
+    + (p.mispredict * c.branch_mispredictions)
+    + (p.btb_fill * c.btb_misses)
+  in
+  Alcotest.(check int) (msg ^ ": cycles") expected c.cycles
+
+let penalties = Dlink_uarch.Config.xeon_e5450.Dlink_uarch.Config.penalties
+
+let test_cycle_identity name () =
+  let w = wl name in
+  List.iter
+    (fun mode ->
+      let msg = name ^ "/" ^ mode_name mode in
+      let live = Experiment.run ~requests:20 ~warmup:2 ~mode w in
+      cycle_identity (msg ^ " live") penalties live.Experiment.counters;
+      let rep = Replay.run ~requests:20 ~warmup:2 ~mode w in
+      cycle_identity (msg ^ " replay") penalties rep.Experiment.counters)
+    all_modes
+
+let test_churn_cycle_identity () =
+  let scen = Dlink_workloads.Churn.scenario () in
+  List.iter
+    (fun link_mode ->
+      let c =
+        Dlink_core.Churn.run_cell ~link_mode ~rate:300 ~calls:2000 ~seed:1 scen
+      in
+      cycle_identity
+        ("churn " ^ Dlink_linker.Mode.to_string link_mode)
+        penalties c.Dlink_core.Churn.counters)
+    Dlink_linker.Mode.[ Lazy_binding; Eager_binding; Stable_linking ]
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -221,4 +264,11 @@ let () =
               `Quick (test_multi p))
           Policy.all
         @ [ Alcotest.test_case "quantum sweep" `Quick test_multi_sweep ] );
+      ( "cycle identity",
+        List.map
+          (fun name ->
+            Alcotest.test_case name `Quick (test_cycle_identity name))
+          Registry.names
+        @ [ Alcotest.test_case "churn cells" `Quick test_churn_cycle_identity ]
+      );
     ]

@@ -316,6 +316,35 @@ let test_domain_zero_alloc () =
           d100 d300
   | _ -> Alcotest.fail "dpool dropped a result"
 
+(* The live interpreter retires through the same packed path: a warm
+   Base simulator running synth allocates well under one minor word per
+   retired instruction (per-request driver work and the profile's
+   per-call bookkeeping included). *)
+let test_live_alloc () =
+  let w = wl "synth" in
+  let sim =
+    Sim.create ~func_align:w.Dlink_core.Workload.func_align ~mode:Sim.Base
+      w.Dlink_core.Workload.objs
+  in
+  let run lo hi =
+    for i = lo to hi - 1 do
+      let req = w.Dlink_core.Workload.gen_request i in
+      Sim.call sim ~mname:req.Dlink_core.Workload.mname
+        ~fname:req.Dlink_core.Workload.fname
+    done
+  in
+  run (-w.Dlink_core.Workload.warmup_requests) 0;
+  let p = Sim.process sim in
+  let retired0 = Dlink_mach.Process.retired p in
+  let before = Gc.minor_words () in
+  run 0 200;
+  let words = Gc.minor_words () -. before in
+  let insns = Dlink_mach.Process.retired p - retired0 in
+  let per_insn = words /. float_of_int (max 1 insns) in
+  if per_insn >= 1.0 then
+    Alcotest.failf "live retire allocates %.2f words/instruction (%d insns)"
+      per_insn insns
+
 let () =
   Alcotest.run "trace"
     [
@@ -335,6 +364,8 @@ let () =
           Alcotest.test_case "replay is allocation-free" `Quick test_zero_alloc;
           Alcotest.test_case "domain replay is allocation-free" `Quick
             test_domain_zero_alloc;
+          Alcotest.test_case "live retire is allocation-free" `Quick
+            test_live_alloc;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
